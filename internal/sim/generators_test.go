@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"tlacache/internal/trace"
@@ -76,8 +77,15 @@ func TestRunGeneratorsMatchesRunMixForSyntheticStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Throughput != want.Throughput || got.Traffic != want.Traffic {
-		t.Fatalf("RunGenerators diverged from RunMix: %.4f vs %.4f", got.Throughput, want.Throughput)
+	// RunGenerators names its mix "custom"; everything else — every
+	// per-app counter, cycle count and IPC, the traffic and the totals —
+	// must match field for field.
+	if !reflect.DeepEqual(got.Mix.Apps, mix.Apps) {
+		t.Fatalf("RunGenerators apps = %v, want %v", got.Mix.Apps, mix.Apps)
+	}
+	got.Mix = want.Mix
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("RunGenerators diverged from RunMix:\n got %+v\nwant %+v", got, want)
 	}
 }
 

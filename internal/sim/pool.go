@@ -28,20 +28,19 @@ type machineKey struct {
 }
 
 // machine bundles one run's reusable state: the hierarchy, the cores,
-// the per-core address-space wrappers, and the interleave scratch.
+// and the interleave scratch.
 type machine struct {
 	key       machineKey
 	h         *hierarchy.Hierarchy
 	cores     []*cpu.Core
-	gens      []*offsetGen
 	committed []uint64
 	finished  []bool
 	ipcs      []float64
 	apps      []AppResult
-	// in is the run loop's instruction scratch. A machine field rather
-	// than a local: its address flows into the generator's interface
-	// call, so as a local it would escape and cost one heap allocation
-	// per run — on a pooled machine it is allocated once.
+	// in is the sharded capture loop's instruction scratch. A machine
+	// field rather than a local: its address flows into the generator's
+	// interface call, so as a local it would escape and cost one heap
+	// allocation per run — on a pooled machine it is allocated once.
 	in trace.Instr
 }
 
@@ -82,7 +81,6 @@ func acquireMachine(hc hierarchy.Config, cc cpu.Config) (*machine, error) {
 		key:       key,
 		h:         h,
 		cores:     make([]*cpu.Core, n),
-		gens:      make([]*offsetGen, n),
 		committed: make([]uint64, n),
 		finished:  make([]bool, n),
 		ipcs:      make([]float64, n),
@@ -92,7 +90,6 @@ func acquireMachine(hc hierarchy.Config, cc cpu.Config) (*machine, error) {
 		if m.cores[i], err = cpu.New(cc); err != nil {
 			return nil, err
 		}
-		m.gens[i] = &offsetGen{offset: uint64(i) * coreSpacing}
 	}
 	return m, nil
 }
@@ -101,12 +98,9 @@ func acquireMachine(hc hierarchy.Config, cc cpu.Config) (*machine, error) {
 // completed successfully release: a machine abandoned mid-run by an
 // invariant or audit failure holds the state that produced the failure,
 // and is deliberately left to the garbage collector so it cannot feed a
-// later run. Caller-owned references (generators, observers) are
-// dropped first so the pool never prolongs their lifetime.
+// later run. Caller-owned observers are dropped first so the pool never
+// prolongs their lifetime.
 func releaseMachine(m *machine) {
-	for _, g := range m.gens {
-		g.inner = nil
-	}
 	m.h.SetProbe(nil)
 	m.h.SetDecisionTracer(nil)
 	m.h.SetLLCOpSink(nil)
@@ -140,19 +134,21 @@ func acquireSynthetic(prof trace.Profile, seed uint64) (*trace.Synthetic, error)
 		return trace.NewSynthetic(prof, seed)
 	}
 	if err := g.Reinit(prof, seed); err != nil {
-		releaseSynthetic(g)
+		releaseSynthetic(g, 1)
 		return nil, err
 	}
 	return g, nil
 }
 
-// releaseSynthetic returns a generator to the free list. Unlike
-// machines, generators may be released after failed runs too: Reinit
-// re-derives every field on the next acquire, so a generator carries no
-// state that could survive into a later run.
-func releaseSynthetic(g *trace.Synthetic) {
+// releaseSynthetic returns a generator of a run on the given number of
+// cores to the free list. Unlike machines, generators may be released
+// after failed runs too: Reinit re-derives every field on the next
+// acquire, so a generator carries no state that could survive into a
+// later run. A run holds one generator per core, so the list keeps up to
+// maxFree runs' worth of the widest run releasing into it.
+func releaseSynthetic(g *trace.Synthetic, cores int) {
 	synthPool.Lock()
-	if len(synthPool.free) < maxFree {
+	if len(synthPool.free) < maxFree*cores {
 		synthPool.free = append(synthPool.free, g)
 	}
 	synthPool.Unlock()

@@ -50,7 +50,6 @@ func freshMachine(t *testing.T, cfg Config) *machine {
 	m := &machine{
 		h:         h,
 		cores:     make([]*cpu.Core, n),
-		gens:      make([]*offsetGen, n),
 		committed: make([]uint64, n),
 		finished:  make([]bool, n),
 		ipcs:      make([]float64, n),
@@ -60,7 +59,6 @@ func freshMachine(t *testing.T, cfg Config) *machine {
 		if m.cores[i], err = cpu.New(cfg.CPU); err != nil {
 			t.Fatal(err)
 		}
-		m.gens[i] = &offsetGen{offset: uint64(i) * coreSpacing}
 	}
 	return m
 }

@@ -340,7 +340,7 @@ func RunMixSharded(cfg Config, mix workload.Mix, shards int) (MixResult, error) 
 		go func(i int, g *trace.Synthetic) {
 			defer wg.Done()
 			errs[i] = captureCore(cfg, i, g, &caps[i])
-			releaseSynthetic(g)
+			releaseSynthetic(g, n)
 		}(i, g)
 	}
 	wg.Wait()

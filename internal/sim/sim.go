@@ -194,9 +194,14 @@ func (g *offsetGen) Name() string { return g.inner.Name() }
 func (g *offsetGen) Reset()       { g.inner.Reset() }
 func (g *offsetGen) Next(in *trace.Instr) {
 	g.inner.Next(in)
-	in.PC += g.offset
+	shift(in, g.offset)
+}
+
+// shift moves an instruction into the address space at offset.
+func shift(in *trace.Instr, offset uint64) {
+	in.PC += offset
 	if in.Op != trace.OpNone {
-		in.Addr += g.offset
+		in.Addr += offset
 	}
 }
 
@@ -217,7 +222,7 @@ func RunMix(cfg Config, mix workload.Mix) (MixResult, error) {
 		g, err := acquireSynthetic(bs[i].Profile, cfg.Seed+uint64(i)*0x9e37)
 		if err != nil {
 			for _, s := range synths[:i] {
-				releaseSynthetic(s)
+				releaseSynthetic(s, len(bs))
 			}
 			return MixResult{}, err
 		}
@@ -225,7 +230,7 @@ func RunMix(cfg Config, mix workload.Mix) (MixResult, error) {
 	}
 	res, err := RunGenerators(cfg, gens)
 	for _, s := range synths {
-		releaseSynthetic(s)
+		releaseSynthetic(s, len(bs))
 	}
 	if err != nil {
 		return MixResult{}, err
@@ -238,6 +243,14 @@ func RunMix(cfg Config, mix workload.Mix) (MixResult, error) {
 // trace.Generator, e.g. recorded trace replays — on cfg's machine.
 // Each stream is shifted into a private per-core address space first,
 // matching the paper's multi-programmed (no sharing) methodology.
+//
+// The streams are produced ahead of the simulation: after each core's
+// first few instructions, their Next methods are called from a goroutine
+// other than the caller's, which owns the streams until RunGenerators
+// returns. A run may advance a stream up to one ring (256 KB of
+// instructions, split across the cores) past what it consumed, so pass
+// fresh or Reset streams to every run. A panic in a stream's Next is
+// re-raised on the calling goroutine.
 func RunGenerators(cfg Config, streams []trace.Generator) (MixResult, error) {
 	m, err := checkedMachine(cfg, streams)
 	if err != nil {
@@ -289,13 +302,13 @@ func checkedMachine(cfg Config, streams []trace.Generator) (*machine, error) {
 func runMachine(cfg Config, m *machine, streams []trace.Generator) error {
 	h := m.h
 	n := cfg.Hierarchy.Cores
-	// Concrete *offsetGen slice: the per-instruction Next call in the
-	// run loop dispatches directly instead of through trace.Generator.
-	gens := m.gens
 	cores := m.cores
-	for i := 0; i < n; i++ {
-		gens[i].inner = streams[i]
-	}
+	// The streams are produced ahead on the feeder's goroutine, which
+	// owns them until the deferred release has stopped and joined it —
+	// on every exit path, panics included.
+	feed := acquireFeeder(n)
+	defer releaseFeeder(feed)
+	feed.start(streams)
 
 	committed := m.committed
 	finished := m.finished
@@ -324,7 +337,6 @@ func runMachine(cfg Config, m *machine, streams []trace.Generator) error {
 	// budget keep executing (and keep competing for the LLC) until the
 	// slowest one arrives; onBudget fires once per core at the
 	// crossing.
-	in := &m.in
 	var total uint64
 	var auditor *hierarchy.Auditor // armed after warmup, when AuditEvery > 0
 	run := func(budget uint64, onBudget func(core int)) error {
@@ -395,9 +407,14 @@ func runMachine(cfg Config, m *machine, streams []trace.Generator) error {
 					b = d
 				}
 			}
-			g, core := gens[c], cores[c]
+			core, cf := cores[c], &feed.cores[c]
+			buf, pos := cf.cur.buf, cf.pos
 			for j := uint64(0); j < b; j++ {
-				g.Next(in)
+				if pos == len(buf) {
+					buf, pos = feed.advance(c), 0
+				}
+				in := &buf[pos]
+				pos++
 				now := core.Cycle()
 				fetchLat := hitLat
 				if !h.IFetchMemoHit(c, in.PC) {
@@ -418,6 +435,7 @@ func runMachine(cfg Config, m *machine, streams []trace.Generator) error {
 					break
 				}
 			}
+			cf.pos = pos
 			if sampler != nil && !finished[c] && committed[c]%sampler.Every() == 0 {
 				sample(c)
 			}
@@ -475,7 +493,7 @@ func runMachine(cfg Config, m *machine, streams []trace.Generator) error {
 			// on an interval boundary.
 			sample(c)
 		}
-		m.apps[c] = snapshot(gens[c].Name(), cores[c], &h.Cores[c], cfg.Instructions)
+		m.apps[c] = snapshot(feed.names[c], cores[c], &h.Cores[c], cfg.Instructions)
 	})
 }
 
@@ -520,20 +538,20 @@ func RunIsolation(cfg Config, b workload.Benchmark) (AppResult, error) {
 	}
 	// Bypass RunGenerators' public-result assembly: the isolation sweeps
 	// behind Table 1 run thousands of these, and the single AppResult is
-	// copied out of the machine's scratch before release, so the hot
-	// path allocates nothing once the pools are warm.
+	// copied out of the machine's scratch before release, so once the
+	// pools are warm a run allocates only its producer goroutine.
 	streams := [1]trace.Generator{g}
 	m, err := checkedMachine(iso, streams[:])
 	if err != nil {
-		releaseSynthetic(g)
+		releaseSynthetic(g, 1)
 		return AppResult{}, err
 	}
 	if err := runMachine(iso, m, streams[:]); err != nil {
-		releaseSynthetic(g)
+		releaseSynthetic(g, 1)
 		return AppResult{}, err
 	}
 	app := m.apps[0]
 	releaseMachine(m)
-	releaseSynthetic(g)
+	releaseSynthetic(g, 1)
 	return app, nil
 }
