@@ -59,8 +59,6 @@ func main() {
 	w := flag.Uint64("w", 1_500_000, "warmup instructions per core")
 	seed := flag.Uint64("seed", 1, "workload seed")
 	workers := flag.Int("workers", 0, "parallel workers when comparing policies (0 = one per CPU)")
-	shards := flag.Int("shards", 0,
-		"run the functional sharded-LLC mode with N parallel set shards (0 = timed simulation; requires -policy non-inclusive, no timing output)")
 	noPrefetch := flag.Bool("no-prefetch", false, "disable the stream prefetcher")
 	listBench := flag.Bool("list", false, "list benchmarks and mixes, then exit")
 	audit := flag.Uint64("audit", 0,
@@ -108,9 +106,6 @@ func main() {
 	}
 	if sources > 1 {
 		log.Fatal("-mix, -trace, and -profile are mutually exclusive")
-	}
-	if *shards > 0 && (*traceArg != "" || *profileArg != "") {
-		log.Fatal("-shards runs registered benchmark mixes only (use -mix)")
 	}
 	if sources == 0 {
 		*mixArg = "sje,lib"
@@ -230,8 +225,6 @@ func main() {
 					}()
 				}
 				switch {
-				case *shards > 0:
-					out.Result, err = sim.RunMixSharded(cfg, mix, *shards)
 				case makeStreams != nil:
 					var streams []trace.Generator
 					if streams, err = makeStreams(); err != nil {

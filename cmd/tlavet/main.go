@@ -24,13 +24,6 @@
 //	resetcover         every field reachable from a //tlavet:resetcover'd
 //	                   reset method's receiver is restored or carries
 //	                   //tlavet:resetexempt <reason>
-//	gatecover          every field of the types a //tlavet:gatecover'd
-//	                   mode gate names is examined by the gate or carries
-//	                   //tlavet:gateexempt <reason>
-//	llcwrite           capture-phase-reachable code mutates
-//	                   //tlavet:llcstate fields only inside the
-//	                   //tlavet:llcaccessor set (rogue writes would make
-//	                   the captured LLCOpSink stream incomplete)
 //
 // Usage:
 //

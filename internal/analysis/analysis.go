@@ -266,8 +266,6 @@ func Analyzers() []*Analyzer {
 		KeycoverAnalyzer,
 		ExhaustiveAnalyzer,
 		ResetcoverAnalyzer,
-		GatecoverAnalyzer,
-		LLCWriteAnalyzer,
 	}
 }
 

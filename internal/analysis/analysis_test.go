@@ -25,8 +25,6 @@ var fixtureCases = []struct {
 	{KeycoverAnalyzer, "keycover", "tlacache/internal/keycover"},
 	{ExhaustiveAnalyzer, "exhaustive", "tlacache/internal/exhaustive"},
 	{ResetcoverAnalyzer, "resetcover", "tlacache/internal/resetcover"},
-	{GatecoverAnalyzer, "gatecover", "tlacache/internal/gatecover"},
-	{LLCWriteAnalyzer, "llcwrite", "tlacache/internal/llcwrite"},
 }
 
 // TestGoldenFixtures checks every analyzer against its fixture: each

@@ -9,7 +9,7 @@ import (
 // code — internal/runner (the parallel job engine), internal/telemetry
 // (live introspection), internal/service (the tlacached daemon's
 // job registry, result cache, and admission control), internal/sim
-// (the machine/generator free lists and the sharded fan-out), and
+// (the machine/generator/feeder free lists and the stream producer), and
 // internal/decision (trace readers shared by tlatrace workers) — for
 // the mistakes that race detectors only catch when the schedule
 // cooperates:

@@ -57,8 +57,8 @@ const (
 )
 
 // scField is one struct field as seen at its declaration, for the
-// state-coverage provers (resetcover, gatecover). Embedded fields are
-// included under their implicit name.
+// resetcover prover. Embedded fields are included under their implicit
+// name.
 type scField struct {
 	name      string
 	pos       token.Pos
@@ -67,12 +67,6 @@ type scField struct {
 	// structKey is the tracked-type key of the field's (unwrapped)
 	// struct type when it is declared in this module, else "".
 	structKey string
-	// indirect marks a field whose declared type reaches its struct
-	// through a pointer. Gatecover stops tracked expansion at indirect
-	// fields: a gate examines such a field as a reference (typically a
-	// nil check) and never owes anything to the pointed-to contents.
-	// Resetcover still chases them — pointed-to state must be restored.
-	indirect bool
 }
 
 // scType is one module-declared struct type, keyed like kcType by
@@ -113,10 +107,8 @@ func collectCoverIndex(mp *ModulePass, exemptDirective string) map[string]*scTyp
 					for _, field := range st.Fields.List {
 						exempt, exemptPos := scFieldExemption(mp, field, exemptDirective)
 						var structKey string
-						var indirect bool
 						if t, ok := pkg.TypeOfExpr(field.Type); ok {
 							structKey = structKeyOf(t, modulePkgs)
-							_, indirect = t.Underlying().(*types.Pointer)
 						}
 						if len(field.Names) == 0 {
 							// Embedded field: named after its (unwrapped) type.
@@ -127,7 +119,7 @@ func collectCoverIndex(mp *ModulePass, exemptDirective string) map[string]*scTyp
 							kt.fields = append(kt.fields, &scField{
 								name: name, pos: field.Type.Pos(),
 								exempt: exempt, exemptPos: exemptPos,
-								structKey: structKey, indirect: indirect,
+								structKey: structKey,
 							})
 							continue
 						}
@@ -135,7 +127,7 @@ func collectCoverIndex(mp *ModulePass, exemptDirective string) map[string]*scTyp
 							kt.fields = append(kt.fields, &scField{
 								name: name.Name, pos: name.Pos(),
 								exempt: exempt, exemptPos: exemptPos,
-								structKey: structKey, indirect: indirect,
+								structKey: structKey,
 							})
 						}
 					}

@@ -47,60 +47,6 @@ func (p *Pool) Reset() {
 	}
 }
 
-// TestGatecoverPlantedRegression adds a config knob the mode gate
-// never examines.
-func TestGatecoverPlantedRegression(t *testing.T) {
-	diags := loadPlanted(t, GatecoverAnalyzer, `package planted
-
-type Config struct {
-	A int
-	B int // the new knob the gate never heard of
-}
-
-// validate gates Config for the restricted mode.
-//
-//tlavet:gatecover Config
-func validate(cfg Config) bool {
-	return cfg.A == 0
-}
-`)
-	if len(diags) != 1 || !strings.Contains(diags[0].Message, "planted.Config.B is never examined") {
-		t.Fatalf("planted unexamined knob: got %v, want one finding naming planted.Config.B", diags)
-	}
-}
-
-// TestLLCWritePlantedRegression writes LLC-owned state from
-// capture-reachable code without going through an accessor, and
-// requires the finding to carry the root→site chain.
-func TestLLCWritePlantedRegression(t *testing.T) {
-	diags := loadPlanted(t, LLCWriteAnalyzer, `package planted
-
-type cache struct{ tags []uint64 }
-
-type hier struct {
-	//tlavet:llcstate
-	llc *cache
-}
-
-func (h *hier) fastFill(la uint64) {
-	h.llc.tags[0] = la // bypasses the sink
-}
-
-// capture is the capture-phase entry point.
-//
-//tlavet:llccapture
-func capture(h *hier) {
-	h.fastFill(1)
-}
-`)
-	if len(diags) != 1 || !strings.Contains(diags[0].Message, "write to LLC-owned state planted.hier.llc") {
-		t.Fatalf("planted rogue LLC write: got %v, want one finding naming planted.hier.llc", diags)
-	}
-	if len(diags[0].Chain) < 2 || diags[0].Chain[0] != "planted.capture" {
-		t.Fatalf("finding chain = %v, want root→site chain starting at planted.capture", diags[0].Chain)
-	}
-}
-
 // dynamicResetProofs maps every type that must carry a
 // //tlavet:resetcover method to the dynamic test that proves the reset
 // restores freshly-constructed state byte-for-byte. The static prover

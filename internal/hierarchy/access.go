@@ -168,12 +168,7 @@ func (h *Hierarchy) accessLLC(core int, kind AccessKind, la uint64, now uint64) 
 }
 
 // lookupLLC performs the functional LLC access.
-//
-//tlavet:llcaccessor fires LLCOpSink (LLCOpDemand) before touching LLC state
 func (h *Hierarchy) lookupLLC(core int, kind AccessKind, la uint64) Result {
-	if h.llcSink != nil {
-		h.llcSink.LLCOp(LLCOpDemand, la)
-	}
 	cs := &h.Cores[core]
 	cs.LLC.Accesses++
 
@@ -267,8 +262,6 @@ func (h *Hierarchy) fillL1(core int, kind AccessKind, la uint64) (set, way int) 
 // writebackToL2 merges a dirty L1 victim into the L2, allocating when
 // the L2 no longer holds the line (possible because the L2 is
 // non-inclusive of the L1s and may have silently evicted it).
-//
-//tlavet:llcaccessor exclusive-mode hit invalidation reached only from lookupLLC, downstream of its sink fire
 func (h *Hierarchy) writebackToL2(core int, addr uint64) {
 	l2 := h.l2[core]
 	if l2.SetDirty(addr) {
@@ -287,8 +280,6 @@ func (h *Hierarchy) writebackToL2(core int, addr uint64) {
 // fillL2 installs la into core's L2 and records the core in the LLC
 // directory (inclusive/non-inclusive modes keep the LLC copy; the
 // exclusive mode has none).
-//
-//tlavet:llcaccessor directory presence update on the demand path, downstream of lookupLLC's sink fire
 func (h *Hierarchy) fillL2(core int, la uint64) {
 	h.allocL2(core, la)
 	if h.cfg.Inclusion != Exclusive {
@@ -356,8 +347,6 @@ func (h *Hierarchy) allocL2(core int, la uint64) {
 // other modes dirty victims write back to the LLC copy when it exists
 // and to memory otherwise; clean victims are dropped silently, which is
 // why LLC presence bits are a conservative superset.
-//
-//tlavet:llcaccessor fires LLCOpSink (LLCOpWriteback) before touching LLC state
 func (h *Hierarchy) handleL2Victim(core int, victim cache.Line) {
 	if h.cfg.Inclusion == Exclusive {
 		h.insertLLCFromL2(core, victim)
@@ -365,9 +354,6 @@ func (h *Hierarchy) handleL2Victim(core int, victim cache.Line) {
 	}
 	if !victim.Dirty {
 		return
-	}
-	if h.llcSink != nil {
-		h.llcSink.LLCOp(LLCOpWriteback, victim.Addr)
 	}
 	if !h.llc.SetDirty(victim.Addr) {
 		h.Traffic.WritebacksToMem++
@@ -377,8 +363,6 @@ func (h *Hierarchy) handleL2Victim(core int, victim cache.Line) {
 // insertLLCFromL2 implements the exclusive LLC's fill-on-L2-eviction
 // path. core identifies the L2 whose eviction is being disposed of
 // (decision traces attribute the choice to it).
-//
-//tlavet:llcaccessor exclusive-mode insertion reached only from handleL2Victim, downstream of its sink fire
 func (h *Hierarchy) insertLLCFromL2(core int, victim cache.Line) {
 	// Guard against the rare duplicate: an L1 writeback can reallocate
 	// a line into the L2 while the LLC already holds a copy.
@@ -420,8 +404,6 @@ func (h *Hierarchy) insertLLCFromL2(core int, victim cache.Line) {
 // fillLLC allocates la in the LLC on a miss: victim selection (QBS when
 // configured), eviction with inclusion enforcement, the fill itself,
 // and ECI's early invalidation of the next candidate.
-//
-//tlavet:llcaccessor demand-miss fill reached only from lookupLLC, downstream of its sink fire
 func (h *Hierarchy) fillLLC(core int, la uint64, dirty bool) {
 	set := h.llc.SetIndex(la)
 	way := h.selectLLCVictim(set)
@@ -521,8 +503,6 @@ func (h *Hierarchy) qbsSuggestedWay(chosen int) int {
 // try the next candidate, up to the query limit. Candidates whose
 // directory presence mask is empty are evicted without spending a
 // query — the directory already proves no core holds them.
-//
-//tlavet:llcaccessor QBS victim walk, unreachable in capture (the sharded gate pins TLA=none)
 func (h *Hierarchy) selectLLCVictim(set int) int {
 	way := h.llc.VictimWay(set)
 	if h.cfg.TLA != TLAQBS {
@@ -601,8 +581,6 @@ func (h *Hierarchy) residentInCores(addr uint64, presence uint64, probe CacheSet
 // when configured, and dirty data reaches memory. It returns the number
 // of cores that lost a valid copy to the back-invalidation (always 0
 // outside the inclusive mode), which decision tracing records.
-//
-//tlavet:llcaccessor victim-cache insertion downstream of the fill accessors, unreachable in capture (gate rejects victim caches)
 func (h *Hierarchy) evictLLCLine(victim cache.Line) int {
 	dirty := victim.Dirty
 	victims := 0
@@ -671,8 +649,6 @@ func (h *Hierarchy) backInvalidate(addr uint64, presence uint64) (dirty bool, vi
 // and refreshes the line's replacement state (the "rescue"). justFilled
 // guards the degenerate direct-mapped case where the next victim is the
 // line just installed.
-//
-//tlavet:llcaccessor ECI path, unreachable in capture (the sharded gate pins TLA=none)
 func (h *Hierarchy) earlyCoreInvalidate(set int, justFilled uint64) {
 	way := h.llc.VictimWay(set)
 	line := h.llc.Line(set, way)
@@ -692,8 +668,6 @@ func (h *Hierarchy) earlyCoreInvalidate(set int, justFilled uint64) {
 // presence mask, merging dirty copies into the LLC line (which the
 // callers retain). It returns the number of cores that lost a valid
 // copy. Used by ECI and by the modified-QBS variant.
-//
-//tlavet:llcaccessor dirty-merge on invalidation paths, downstream of the annotated sinks
 func (h *Hierarchy) invalidateInCores(addr uint64, presence uint64) int {
 	removed := 0
 	for presence != 0 {
@@ -732,8 +706,6 @@ func (h *Hierarchy) invalidateInCores(addr uint64, presence uint64) int {
 // maybeHint delivers a temporal locality hint to the LLC for a hit in a
 // configured source cache. Sampling (TLHPerMille) uses a deterministic
 // counter so runs stay reproducible.
-//
-//tlavet:llcaccessor TLH promotion path, unreachable in capture (the sharded gate pins TLA=none)
 func (h *Hierarchy) maybeHint(src CacheSet, la uint64) {
 	if h.cfg.TLA != TLATLH || h.cfg.TLHSources&src == 0 {
 		return
@@ -755,15 +727,10 @@ func (h *Hierarchy) maybeHint(src CacheSet, la uint64) {
 // exclusive mode, into the LLC when absent, preserving inclusion).
 // Prefetches never perturb the demand statistics; only Traffic counters
 // move.
-//
-//tlavet:llcaccessor fires LLCOpSink (LLCOpPrefetch) after the private L2 residency gate
 func (h *Hierarchy) prefetchFill(core int, pa uint64) {
 	la := h.llc.LineAddr(pa)
 	if h.l2[core].Contains(la) {
 		return
-	}
-	if h.llcSink != nil {
-		h.llcSink.LLCOp(LLCOpPrefetch, la)
 	}
 	h.Traffic.PrefetchFills++
 	switch h.cfg.Inclusion {

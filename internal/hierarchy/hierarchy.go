@@ -188,31 +188,19 @@ func DefaultLatencies() Latencies { return Latencies{L1: 1, L2: 10, LLC: 24, Mem
 // Config describes a complete hierarchy. DefaultConfig supplies the
 // paper's baseline; tests and experiments tweak single fields.
 type Config struct {
-	//tlavet:gateexempt every core count shards faithfully; the capture phase runs each core independently
-	Cores int
-	//tlavet:gateexempt any geometry shards faithfully; shard boundaries are set-aligned for every line size
+	Cores    int
 	LineSize int64
 
-	//tlavet:gateexempt private-cache geometry is reproduced exactly by the capture phase
-	L1ISize int64
-	//tlavet:gateexempt private-cache geometry is reproduced exactly by the capture phase
+	L1ISize  int64
 	L1IAssoc int
-	//tlavet:gateexempt private-cache geometry is reproduced exactly by the capture phase
-	L1DSize int64
-	//tlavet:gateexempt private-cache geometry is reproduced exactly by the capture phase
+	L1DSize  int64
 	L1DAssoc int
-	//tlavet:gateexempt private-cache geometry is reproduced exactly by the capture phase
-	L2Size int64
-	//tlavet:gateexempt private-cache geometry is reproduced exactly by the capture phase
-	L2Assoc int
-	//tlavet:gateexempt any LLC size shards faithfully; replay partitions the same set space
-	LLCSize int64
-	//tlavet:gateexempt any LLC associativity shards faithfully; sets stay whole within a shard
+	L2Size   int64
+	L2Assoc  int
+	LLCSize  int64
 	LLCAssoc int
 
-	//tlavet:gateexempt private-cache policies run inside the capture phase, untouched by LLC partitioning
-	L1Policy replacement.Kind // LRU in the paper
-	//tlavet:gateexempt private-cache policies run inside the capture phase, untouched by LLC partitioning
+	L1Policy  replacement.Kind // LRU in the paper
 	L2Policy  replacement.Kind // LRU in the paper
 	LLCPolicy replacement.Kind // NRU in the paper
 
@@ -223,24 +211,19 @@ type Config struct {
 	// TLHPerMille sends hints for only that fraction of hits (1000 =
 	// every hit), implementing the paper's hint-filtering sensitivity
 	// study; sampling is a deterministic counter, not randomness.
-	//tlavet:gateexempt only read under TLATLH, which the gate rejects
-	TLHSources CacheSet
-	//tlavet:gateexempt only read under TLATLH, which the gate rejects
+	TLHSources  CacheSet
 	TLHPerMille int
 
 	// QBSProbe selects which caches a QBS query consults; QBSMaxQueries
 	// bounds queries per miss (0 means the LLC associativity, which is
 	// effectively unlimited — the paper shows saturation by 2–4).
-	//tlavet:gateexempt only read under TLAQBS, which the gate rejects
-	QBSProbe CacheSet
-	//tlavet:gateexempt only read under TLAQBS, which the gate rejects
+	QBSProbe      CacheSet
 	QBSMaxQueries int
 	// QBSEvictSaved selects the paper's "modified QBS" (footnote 6):
 	// a query that finds the candidate resident still promotes it in
 	// the LLC but also invalidates it from the core caches, like ECI.
 	// The paper finds it performs like plain QBS, proving QBS's benefit
 	// is avoiding memory latency rather than core-cache hit latency.
-	//tlavet:gateexempt only read under TLAQBS, which the gate rejects
 	QBSEvictSaved bool
 
 	// L2Inclusive makes each private L2 inclusive of its core's L1s
@@ -249,17 +232,13 @@ type Config struct {
 	// query based selection at the L2 — L2 victim candidates resident
 	// in an L1 are promoted instead of evicted — which is the footnote's
 	// "TLA policies can be applied at the L2 cache" remedy.
-	//tlavet:gateexempt an inclusive private L2 couples only L1s to the L2, never private caches to the LLC
 	L2Inclusive bool
-	//tlavet:gateexempt an inclusive private L2 couples only L1s to the L2, never private caches to the LLC
-	L2QBS bool
+	L2QBS       bool
 
 	// EnablePrefetch turns on the per-core stream prefetcher (trains on
 	// L2 demand misses, fills the L2). Prefetcher geometry follows
 	// prefetch.Config defaults unless PrefetchConfig is set.
-	//tlavet:gateexempt prefetch trains and fills on the private side; its LLC fills are captured as LLCOpPrefetch
 	EnablePrefetch bool
-	//tlavet:gateexempt prefetch trains and fills on the private side; its LLC fills are captured as LLCOpPrefetch
 	PrefetchConfig prefetch.Config
 
 	// VictimCacheEntries, when positive, attaches a fully-associative
@@ -273,7 +252,6 @@ type Config struct {
 	// directory names. Functionally identical on private workloads but
 	// multiplies message traffic — the ablation for the Core i7-style
 	// directory the paper's footnote 1 assumes.
-	//tlavet:gateexempt only read on inclusive or TLA invalidation paths, which the gate rejects
 	BroadcastInvalidate bool
 
 	// LLCBanks, when positive, models a banked LLC: demand accesses to
@@ -283,11 +261,9 @@ type Config struct {
 	// (0, unbanked) matches that fixed-latency model, and enabling
 	// banks refines it. Callers must then use AccessAt with real clock
 	// values for the queueing to be meaningful (internal/sim does).
-	LLCBanks int
-	//tlavet:gateexempt only meaningful with LLCBanks > 0, which the gate rejects
+	LLCBanks      int
 	BankOccupancy uint64
 
-	//tlavet:gateexempt fixed latencies apply identically in sharded replay; no state couples through them
 	Latency Latencies
 }
 
@@ -425,18 +401,9 @@ type Hierarchy struct {
 	l1i []*cache.Cache
 	l1d []*cache.Cache
 	l2  []*cache.Cache
-	// llc is the shared last-level cache. In capture-phase-reachable
-	// code (the sharded runner's phase 1) every mutation must go
-	// through a //tlavet:llcaccessor function so the LLCOpSink stream
-	// stays complete — the llcwrite prover enforces it.
-	//
-	//tlavet:llcstate
 	llc *cache.Cache
 
-	pf []*prefetch.Streamer
-	// vc extends the LLC and is owned state for the same reason.
-	//
-	//tlavet:llcstate
+	pf  []*prefetch.Streamer
 	vc  *victimCache
 	buf []uint64 // scratch for prefetch addresses
 
@@ -470,21 +437,12 @@ type Hierarchy struct {
 	tracer telemetry.DecisionTracer
 	dec    telemetry.Decision
 
-	// llcSink receives every LLC-bound operation when non-nil, guarded
-	// by a single nil-interface branch like probe and tracer. The
-	// sharded-by-set parallel mode uses it to capture a core's LLC
-	// message stream from a private phase-1 run and replay it against
-	// partitioned LLC shards.
-	llcSink LLCOpSink
-
 	Cores   []CoreStats
 	Traffic Traffic
 }
 
 // New builds a hierarchy from cfg, validating the configuration and
 // every cache geometry.
-//
-//tlavet:llcaccessor pre-capture construction; no sink can be attached before New returns
 func New(cfg Config) (*Hierarchy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -558,7 +516,6 @@ func New(cfg Config) (*Hierarchy, error) {
 // resetcover prover enforces the field inventory statically.
 //
 //tlavet:resetcover
-//tlavet:llcaccessor pre-capture pool reinitialisation; runs before a sink attaches
 func (h *Hierarchy) Reset() {
 	for c := 0; c < h.cfg.Cores; c++ {
 		h.l1i[c].Reset()
@@ -580,7 +537,6 @@ func (h *Hierarchy) Reset() {
 	}
 	h.probe = nil
 	h.tracer = nil
-	h.llcSink = nil
 	// Keep the candidate scratch buffer (SetDecisionTracer would just
 	// reallocate it) but restart the record — Seq must count from zero
 	// again or a reused hierarchy's first trace record would expose the
@@ -621,47 +577,6 @@ func (h *Hierarchy) SetDecisionTracer(t telemetry.DecisionTracer) {
 		h.dec.Candidates = make([]telemetry.DecisionCandidate, h.cfg.LLCAssoc)
 	}
 }
-
-// LLCOpKind classifies one message a core's private cache hierarchy
-// sends to the shared LLC. Switches over it must name every kind
-// (tlavet's exhaustive check): a silently unhandled kind would drop a
-// whole message class from a sharded replay.
-//
-//tlavet:exhaustive
-type LLCOpKind uint8
-
-const (
-	// LLCOpDemand is a demand access that missed the core caches
-	// (the lookupLLC entry point).
-	LLCOpDemand LLCOpKind = iota
-	// LLCOpWriteback is a dirty L2 victim writing back to the LLC
-	// copy when one exists, and to memory otherwise.
-	LLCOpWriteback
-	// LLCOpPrefetch is a prefetched line being installed (the
-	// prefetchFill path, after its private L2 residency gate).
-	LLCOpPrefetch
-)
-
-// LLCOpSink observes every LLC-bound operation of a run. Like Probe
-// and DecisionTracer it is called synchronously from the single
-// simulation goroutine, guarded by one nil-interface branch per fire
-// site, and must not be shared between concurrent runs.
-//
-// In the non-inclusive, TLA-none machine (no victim cache, no banks)
-// the emitted stream is a pure function of the private core caches:
-// the LLC answers every demand miss and prefetch fill identically from
-// the private side's point of view (allocate L2, fill L1), sends no
-// back-invalidations, and never changes which instruction runs next.
-// That independence is what makes the sharded-by-set parallel mode
-// sound — see internal/sim's sharded runner.
-type LLCOpSink interface {
-	//tlavet:hotpath
-	LLCOp(kind LLCOpKind, la uint64)
-}
-
-// SetLLCOpSink attaches (or, with nil, detaches) an LLC operation
-// sink.
-func (h *Hierarchy) SetLLCOpSink(s LLCOpSink) { h.llcSink = s }
 
 // DecisionMeta describes the LLC geometry and policy for decision-trace
 // headers (telemetry.DecisionMeta).

@@ -131,6 +131,38 @@ func (g *slowGen) Next(in *trace.Instr) {
 	g.Generator.Next(in)
 }
 
+// TestFillShiftsIntoCoreSpace pins the per-core address offset applied
+// at fill time: core c reads its stream's instructions moved up by
+// c*coreSpacing, code and data addresses alike, under the stream's name.
+func TestFillShiftsIntoCoreSpace(t *testing.T) {
+	streams := []trace.Generator{replayOf(t, "sje", 100, 1), replayOf(t, "mcf", 100, 2)}
+	refs := []trace.Generator{replayOf(t, "sje", 100, 1), replayOf(t, "mcf", 100, 2)}
+	f := newFeeder(len(streams))
+	f.start(streams)
+	defer releaseFeeder(f)
+	for c, ref := range refs {
+		if f.names[c] != ref.Name() {
+			t.Errorf("core %d named %q, want %q", c, f.names[c], ref.Name())
+		}
+		buf := f.cores[c].cur.buf
+		if len(buf) == 0 {
+			t.Fatalf("core %d: first block is empty", c)
+		}
+		off := uint64(c) * coreSpacing
+		for i, got := range buf {
+			var want trace.Instr
+			ref.Next(&want)
+			want.PC += off
+			if want.Op != trace.OpNone {
+				want.Addr += off
+			}
+			if got != want {
+				t.Fatalf("core %d instruction %d = %+v, want %+v", c, i, got, want)
+			}
+		}
+	}
+}
+
 // TestRunOwnsStreamsUntilReturn pins the join: RunGenerators does not
 // return — and RunMix does not hand generators back to the pool — while
 // the producer may still be inside a stream's Next.

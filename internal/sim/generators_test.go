@@ -104,27 +104,6 @@ func TestRunGeneratorsErrors(t *testing.T) {
 	}
 }
 
-func TestOffsetGenForwarding(t *testing.T) {
-	inner := replayOf(t, "sje", 100, 1)
-	g := &offsetGen{inner: inner, offset: 1 << 40}
-	if g.Name() != inner.Name() {
-		t.Fatalf("Name not forwarded: %q", g.Name())
-	}
-	var a, b trace.Instr
-	g.Next(&a)
-	g.Reset()
-	g.Next(&b)
-	if a != b {
-		t.Fatal("Reset not forwarded")
-	}
-	if a.PC < 1<<40 {
-		t.Fatalf("PC %#x not offset", a.PC)
-	}
-	if a.Op != trace.OpNone && a.Addr < 1<<40 {
-		t.Fatalf("Addr %#x not offset", a.Addr)
-	}
-}
-
 func TestRunIsolationPropagatesErrors(t *testing.T) {
 	cfg := quickConfig(2, 10_000)
 	cfg.CPU.Width = 0 // invalid

@@ -37,11 +37,6 @@ type machine struct {
 	finished  []bool
 	ipcs      []float64
 	apps      []AppResult
-	// in is the sharded capture loop's instruction scratch. A machine
-	// field rather than a local: its address flows into the generator's
-	// interface call, so as a local it would escape and cost one heap
-	// allocation per run — on a pooled machine it is allocated once.
-	in trace.Instr
 }
 
 // maxFree bounds each free list so a sweep over many distinct machine
@@ -103,7 +98,6 @@ func acquireMachine(hc hierarchy.Config, cc cpu.Config) (*machine, error) {
 func releaseMachine(m *machine) {
 	m.h.SetProbe(nil)
 	m.h.SetDecisionTracer(nil)
-	m.h.SetLLCOpSink(nil)
 	machinePool.Lock()
 	if s := machinePool.free[m.key]; len(s) < maxFree {
 		machinePool.free[m.key] = append(s, m)

@@ -25,28 +25,22 @@ const coreSpacing = uint64(1) << 46
 // Config parameterises a simulation run.
 type Config struct {
 	Hierarchy hierarchy.Config
-	//tlavet:gateexempt core timing model is identical in sharded and interleaved runs; orthogonal to LLC partitioning
-	CPU cpu.Config
+	CPU       cpu.Config
 	// Instructions is the per-core measurement budget (the paper uses
 	// 250M per PinPoint; experiments here default to a few million —
 	// the working sets are identical, only the measurement window
 	// shrinks).
-	//
-	//tlavet:gateexempt any budget shards faithfully; the capture phase runs the same per-core budget
 	Instructions uint64
 	// Warmup instructions run per core before statistics are cleared
 	// and measurement begins. Cache and prefetcher state carries over;
 	// only counters reset. A warmup of at least ~1M instructions lets
 	// the 2MB LLC fill and reach replacement steady state, which the
 	// paper's 250M-instruction runs get implicitly.
-	//
-	//tlavet:gateexempt warmup length only moves the measurement boundary; sharded replay preserves it exactly
 	Warmup uint64
 	// Seed diversifies the synthetic streams; a mix is reproducible
 	// given (Config, Mix).
 	//
 	//tlavet:keyexempt hashed via service.Key's explicit seed argument, which overrides this field
-	//tlavet:gateexempt any seed shards faithfully; streams are regenerated identically in the capture phase
 	Seed uint64
 	// InvariantEvery, when positive, verifies the hierarchy's
 	// structural invariants (inclusion, exclusion, directory coverage)
@@ -108,7 +102,6 @@ type Config struct {
 	// against the default byte-for-byte.
 	//
 	//tlavet:keyexempt result-invariant batching knob; every epoch yields byte-identical manifests (TestEpochInvariance)
-	//tlavet:gateexempt result-invariant batching knob; burst sizing never changes what a faithful run produces
 	Epoch uint64
 }
 
@@ -181,20 +174,6 @@ type MixResult struct {
 	LLCMisses uint64
 	// InclusionVictims sums the apps' windowed inclusion victims.
 	InclusionVictims uint64
-}
-
-// offsetGen shifts a generator's code and data addresses into a
-// per-core address space.
-type offsetGen struct {
-	inner  trace.Generator
-	offset uint64
-}
-
-func (g *offsetGen) Name() string { return g.inner.Name() }
-func (g *offsetGen) Reset()       { g.inner.Reset() }
-func (g *offsetGen) Next(in *trace.Instr) {
-	g.inner.Next(in)
-	shift(in, g.offset)
 }
 
 // shift moves an instruction into the address space at offset.
