@@ -102,17 +102,6 @@ type Cache struct {
 	//tlavet:resetexempt geometry derived from cfg at construction
 	numLines int
 
-	// One-entry lookup filter: the line address, set, and way of the
-	// most recent Lookup hit. Sequential instruction fetch and strided
-	// data streams reference the same line many times in a row, and the
-	// filter turns those repeats into one tag compare instead of a set
-	// scan. Entries are re-verified against the tag array on use, so
-	// the filter never needs invalidating: a displaced or invalidated
-	// line fails verification and falls through to the scan.
-	lastLA  uint64
-	lastSet int32
-	lastWay int32
-
 	Stats Stats
 }
 
@@ -123,8 +112,9 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.LineSize < 2 || cfg.LineSize&(cfg.LineSize-1) != 0 {
 		return nil, fmt.Errorf("cache %s: line size %d is not a power of two >= 2", cfg.Name, cfg.LineSize)
 	}
-	if cfg.Assoc <= 0 {
-		return nil, fmt.Errorf("cache %s: associativity %d must be positive", cfg.Name, cfg.Assoc)
+	if cfg.Assoc <= 0 || cfg.Assoc > 64 {
+		// Lookup gathers a set's tag matches in one 64-bit mask.
+		return nil, fmt.Errorf("cache %s: associativity %d out of range [1,64]", cfg.Name, cfg.Assoc)
 	}
 	if cfg.Size <= 0 || cfg.Size%(cfg.LineSize*int64(cfg.Assoc)) != 0 {
 		return nil, fmt.Errorf("cache %s: size %d is not a multiple of assoc %d x line %d",
@@ -261,37 +251,28 @@ func (c *Cache) policyVictim(set int) int {
 // the hierarchy can probe a cache a single time per access and then use
 // the ...At methods with the returned coordinates. It never modifies
 // state.
+//
+// The set's tag row is compared in one pass with no early exit, and
+// the lowest matching way wins. Which way holds a line is data the
+// branch predictor cannot learn, so a compare-and-branch per way
+// mispredicts on most data hits; this pass costs the same on every
+// lookup. Each way's mismatch bit is derived arithmetically: 0-(t^la)
+// borrows exactly when t != la, and the borrow enters miss as the carry
+// of miss+miss, one SUB and one ADC per way. Scanning from the top way
+// down leaves way w's bit at bit w; the bits above the associativity
+// keep the ones miss starts with. Empty ways hold invalidTag, which
+// never equals a line address, so the tag compare alone decides
+// residency.
 func (c *Cache) Lookup(addr uint64) (set, way int, ok bool) {
 	la := addr >> c.offBits << c.offBits
-	if la == c.lastLA {
-		// Filter hit candidate: verify against the tag array. A valid
-		// matching tag can only live in la's home set (fills store a
-		// line in its home set and lines never move between ways), so a
-		// verified entry is correct even if the filter is stale. This
-		// path is small enough to inline at every call site; the set
-		// scan is outlined.
-		if c.tags[int(c.lastSet)*c.assoc+int(c.lastWay)] == la {
-			return int(c.lastSet), int(c.lastWay), true
-		}
-	}
-	return c.scan(la)
-}
-
-// scan is the filter-miss half of Lookup: a linear probe of la's home
-// set that records a hit in the lookup filter. Empty ways hold
-// invalidTag, which never equals a line address, so the tag compare
-// alone decides residency.
-func (c *Cache) scan(la uint64) (set, way int, ok bool) {
 	set = int(la >> c.offBits & c.setMask)
-	base := set * c.assoc
-	tags := c.tags[base : base+c.assoc]
-	for w := range tags {
-		if tags[w] == la {
-			c.lastLA, c.lastSet, c.lastWay = la, int32(set), int32(w)
-			return set, w, true
-		}
+	tags := c.tags[set*c.assoc : (set+1)*c.assoc]
+	miss := ^uint64(0)
+	for w := len(tags) - 1; w >= 0; w-- {
+		_, ne := bits.Sub64(0, tags[w]^la, 0)
+		miss, _ = bits.Add64(miss, miss, ne)
 	}
-	return set, 0, false
+	return set, bits.TrailingZeros64(^miss) & 63, miss != ^uint64(0)
 }
 
 // Probe looks addr up without touching replacement state or statistics.
@@ -553,7 +534,6 @@ func (c *Cache) Reset() {
 	for i := range c.presence {
 		c.presence[i] = 0
 	}
-	c.lastLA, c.lastSet, c.lastWay = 0, 0, 0
 	// Reuse the existing replacement state when the policy can reinit
 	// in place; reconstructing policies on every warmup reset was a
 	// measurable share of a run's allocations.

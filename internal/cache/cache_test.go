@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -21,6 +22,7 @@ func TestNewRejectsBadGeometry(t *testing.T) {
 		{Name: "odd-line", Size: 1024, Assoc: 4, LineSize: 48, Policy: replacement.LRU},
 		{Name: "zero-line", Size: 1024, Assoc: 4, LineSize: 0, Policy: replacement.LRU},
 		{Name: "zero-assoc", Size: 1024, Assoc: 0, LineSize: 64, Policy: replacement.LRU},
+		{Name: "wide-assoc", Size: 128 * 64, Assoc: 128, LineSize: 64, Policy: replacement.LRU},
 		{Name: "indivisible", Size: 1000, Assoc: 4, LineSize: 64, Policy: replacement.LRU},
 		{Name: "non-pow2-sets", Size: 3 * 64 * 4, Assoc: 4, LineSize: 64, Policy: replacement.LRU},
 	}
@@ -389,6 +391,64 @@ func TestNoDuplicateLines(t *testing.T) {
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 			t.Errorf("%v: %v", pol, err)
+		}
+	}
+}
+
+// TestLookupMatchesFirstMatchScan pins the branch-free Lookup against
+// the obvious early-exit scan on random tag rows written straight into
+// the tag array: every associativity New accepts (1-64), empty ways,
+// misses, full-width tags, and a duplicated tag, where the lowest
+// matching way must win.
+func TestLookupMatchesFirstMatchScan(t *testing.T) {
+	const sets = 4
+	rng := rand.New(rand.NewPCG(7, 11))
+	for assoc := 1; assoc <= 64; assoc++ {
+		c := tiny(t, int64(sets*assoc*64), assoc, replacement.LRU)
+		// line returns an address of set s whose tag is drawn from a
+		// range twice the associativity (so rows hold repeats and
+		// queries miss often) or, one time in eight, from all 56 tag
+		// bits.
+		line := func(s int) uint64 {
+			tag := rng.Uint64N(uint64(2 * assoc))
+			if rng.IntN(8) == 0 {
+				tag = rng.Uint64() >> 8
+			}
+			return tag<<8 | uint64(s)<<6
+		}
+		for trial := 0; trial < 200; trial++ {
+			s := rng.IntN(sets)
+			row := c.tags[s*assoc : (s+1)*assoc]
+			for w := range row {
+				row[w] = invalidTag
+				if rng.IntN(4) != 0 {
+					row[w] = line(s)
+				}
+			}
+			if assoc > 1 && rng.IntN(2) == 0 {
+				lo := rng.IntN(assoc - 1)
+				row[lo+1+rng.IntN(assoc-lo-1)] = row[lo]
+			}
+			queries := []uint64{line(s) | rng.Uint64N(64)}
+			for w := range row {
+				if row[w] != invalidTag {
+					queries = append(queries, row[w]|rng.Uint64N(64))
+				}
+			}
+			for _, addr := range queries {
+				wantWay, wantOK := 0, false
+				for w := range row {
+					if row[w] == c.LineAddr(addr) {
+						wantWay, wantOK = w, true
+						break
+					}
+				}
+				set, way, ok := c.Lookup(addr)
+				if set != s || ok != wantOK || (ok && way != wantWay) {
+					t.Fatalf("assoc %d row %#x: Lookup(%#x) = (%d, %d, %v), want (%d, %d, %v)",
+						assoc, row, addr, set, way, ok, s, wantWay, wantOK)
+				}
+			}
 		}
 	}
 }

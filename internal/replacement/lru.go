@@ -120,13 +120,11 @@ func (p *LRUStack) moveTo(set, way, target int) {
 	pos[way] = uint8(target)
 }
 
-// Touch promotes way to MRU.
+// Touch promotes way to MRU. The packed splice needs no already-MRU
+// case: at position 0 it rewrites the stack unchanged.
 func (p *LRUStack) Touch(set, way int) {
 	if p.packed != nil {
 		v := p.packed[set]
-		if v&0xF == uint64(way) {
-			return // already MRU: sequential fetch hits land here
-		}
 		cur := nibblePos(v, uint64(way))
 		low := v & (uint64(1)<<(4*cur) - 1)
 		p.packed[set] = v&^(uint64(1)<<(4*(cur+1))-1) | low<<4 | uint64(way)

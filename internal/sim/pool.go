@@ -35,6 +35,7 @@ type machine struct {
 	cores     []*cpu.Core
 	committed []uint64
 	finished  []bool
+	clocks    []uint64 // each core's clock as of its last burst
 	ipcs      []float64
 	apps      []AppResult
 }
@@ -66,23 +67,28 @@ func acquireMachine(hc hierarchy.Config, cc cpu.Config) (*machine, error) {
 		return m, nil
 	}
 	machinePool.Unlock()
+	return newMachine(key)
+}
 
-	h, err := hierarchy.New(hc)
+// newMachine builds a machine of the given shape, bypassing the pool.
+func newMachine(key machineKey) (*machine, error) {
+	h, err := hierarchy.New(key.h)
 	if err != nil {
 		return nil, err
 	}
-	n := hc.Cores
+	n := key.h.Cores
 	m := &machine{
 		key:       key,
 		h:         h,
 		cores:     make([]*cpu.Core, n),
 		committed: make([]uint64, n),
 		finished:  make([]bool, n),
+		clocks:    make([]uint64, n),
 		ipcs:      make([]float64, n),
 		apps:      make([]AppResult, n),
 	}
 	for i := 0; i < n; i++ {
-		if m.cores[i], err = cpu.New(cc); err != nil {
+		if m.cores[i], err = cpu.New(key.c); err != nil {
 			return nil, err
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"testing"
 
-	"tlacache/internal/cpu"
 	"tlacache/internal/hierarchy"
 	"tlacache/internal/replacement"
 	"tlacache/internal/telemetry"
@@ -42,23 +41,9 @@ func machineModes() []struct {
 // comparisons cannot be perturbed by machines other tests pooled.
 func freshMachine(t *testing.T, cfg Config) *machine {
 	t.Helper()
-	h, err := hierarchy.New(cfg.Hierarchy)
+	m, err := newMachine(machineKey{h: cfg.Hierarchy, c: cfg.CPU})
 	if err != nil {
 		t.Fatal(err)
-	}
-	n := cfg.Hierarchy.Cores
-	m := &machine{
-		h:         h,
-		cores:     make([]*cpu.Core, n),
-		committed: make([]uint64, n),
-		finished:  make([]bool, n),
-		ipcs:      make([]float64, n),
-		apps:      make([]AppResult, n),
-	}
-	for i := 0; i < n; i++ {
-		if m.cores[i], err = cpu.New(cfg.CPU); err != nil {
-			t.Fatal(err)
-		}
 	}
 	return m
 }

@@ -134,6 +134,9 @@ func (c *Config) Validate() error {
 	if c.Instructions == 0 {
 		return fmt.Errorf("sim: zero instruction budget")
 	}
+	if c.Sampler != nil && c.Sampler.Every() == 0 {
+		return fmt.Errorf("sim: zero sampler interval")
+	}
 	return nil
 }
 
@@ -291,8 +294,9 @@ func runMachine(cfg Config, m *machine, streams []trace.Generator) error {
 
 	committed := m.committed
 	finished := m.finished
+	clocks := m.clocks
 	for i := 0; i < n; i++ {
-		committed[i], finished[i] = 0, false
+		committed[i], finished[i], clocks[i] = 0, false, 0
 	}
 	hitLat := cfg.Hierarchy.Latency.L1
 	epoch := cfg.Epoch
@@ -320,34 +324,10 @@ func runMachine(cfg Config, m *machine, streams []trace.Generator) error {
 	var auditor *hierarchy.Auditor // armed after warmup, when AuditEvery > 0
 	run := func(budget uint64, onBudget func(core int)) error {
 		remaining := n
-		// Memoized min-cycle selection: between full rescans only core
-		// c's clock moves, so c stays the pick while it beats the
-		// runner-up (second lowest cycle; on ties the lowest index
-		// wins, matching what a full scan would select). The rescan
-		// runs only when c falls behind, not once per instruction.
-		const maxCycle = ^uint64(0)
-		c := 0
-		runnerVal, runnerIdx := maxCycle, n
-		rescan := true
 		for remaining > 0 {
-			if cy := cores[c].Cycle(); cy > runnerVal || (cy == runnerVal && c > runnerIdx) {
-				rescan = true
-			}
-			if rescan {
-				rescan = false
-				c = 0
-				for i := 1; i < n; i++ {
-					if cores[i].Cycle() < cores[c].Cycle() {
-						c = i
-					}
-				}
-				runnerVal, runnerIdx = maxCycle, n
-				for i := 0; i < n; i++ {
-					if i != c && cores[i].Cycle() < runnerVal {
-						runnerVal, runnerIdx = cores[i].Cycle(), i
-					}
-				}
-			}
+			// Only the running core's clock moves during a burst, so
+			// the clocks mirror holds every other core's exact clock.
+			c, runner := nextCore(clocks)
 			// Epoch-batched execution: core c bursts up to `epoch`
 			// instructions with only the cycle comparison inside the
 			// tight loop; the sampler/invariant/audit/budget modulo
@@ -362,9 +342,9 @@ func runMachine(cfg Config, m *machine, streams []trace.Generator) error {
 			// condition stops short of every boundary, so the post-burst
 			// modulo checks correctly stay silent; the instruction-level
 			// schedule itself is unchanged because the break condition
-			// is the exact per-instruction rescan condition. Every cap
-			// is a distance to a boundary strictly ahead, so b >= 1 and
-			// the loop always progresses.
+			// holds exactly when a per-instruction pick would choose
+			// another core. Every cap is a distance to a boundary
+			// strictly ahead, so b >= 1 and the loop always progresses.
 			b := epoch
 			if !finished[c] {
 				if d := budget - committed[c]; d < b {
@@ -410,7 +390,7 @@ func runMachine(cfg Config, m *machine, streams []trace.Generator) error {
 				core.Instr(fetchLat, memLat, hitLat)
 				committed[c]++
 				total++
-				if cy := core.Cycle(); cy > runnerVal || (cy == runnerVal && c > runnerIdx) {
+				if core.Cycle()<<6|uint64(c) > runner {
 					break
 				}
 			}
@@ -436,6 +416,11 @@ func runMachine(cfg Config, m *machine, streams []trace.Generator) error {
 					onBudget(c)
 				}
 			}
+			// After onBudget: the snapshot's Finish drains the core's
+			// outstanding misses and so moves its clock too.
+			if clocks[c] = core.Cycle(); clocks[c] >= maxClock {
+				return fmt.Errorf("sim: core %d clock reached 2^58 cycles after %d instructions", c, total)
+			}
 		}
 		return nil
 	}
@@ -452,8 +437,7 @@ func runMachine(cfg Config, m *machine, streams []trace.Generator) error {
 		h.Traffic = hierarchy.Traffic{}
 		for i := range cores {
 			cores[i].Reset()
-			committed[i] = 0
-			finished[i] = false
+			committed[i], finished[i], clocks[i] = 0, false, 0
 		}
 	}
 	h.SetProbe(cfg.Probe)
@@ -474,6 +458,31 @@ func runMachine(cfg Config, m *machine, streams []trace.Generator) error {
 		}
 		m.apps[c] = snapshot(feed.names[c], cores[c], &h.Cores[c], cfg.Instructions)
 	})
+}
+
+// maxClock bounds the core clocks the interleave can order: a core's
+// key is its clock shifted left 6 bits above its index (at most 63), so
+// a clock of 2^58 or more would lose its top bits. Runs fail instead.
+const maxClock = uint64(1) << 58
+
+// nextCore returns the core whose clock is furthest behind (the lowest
+// index on ties) and the runner-up's key clock<<6|core, all ones when
+// there is no other core. Keys are distinct, so the picked core c keeps
+// the lead exactly while its own key stays below the runner-up key. The
+// builtin min and max compile to conditional moves, so the pass has no
+// branch on the clocks. Inlined into the run loop, it spills its two
+// keys and the compiler turns one min back into a branch; the call
+// costs less than that branch mispredicts.
+//
+//go:noinline
+func nextCore(clocks []uint64) (c int, runner uint64) {
+	lo, runner := ^uint64(0), ^uint64(0)
+	for i, clock := range clocks {
+		k := clock<<6 | uint64(i)
+		runner = min(runner, max(lo, k))
+		lo = min(lo, k)
+	}
+	return int(lo & 63), runner
 }
 
 // snapshot freezes a core's windowed statistics the moment it commits

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math"
+	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"tlacache/internal/hierarchy"
@@ -37,6 +39,13 @@ func TestConfigValidate(t *testing.T) {
 	bad.CPU.Width = 0
 	if err := bad.Validate(); err == nil {
 		t.Error("bad cpu accepted")
+	}
+	// A Sampler not built by NewSampler has interval 0, which the run
+	// loop divides by.
+	bad = cfg
+	bad.Sampler = &telemetry.Sampler{}
+	if err := bad.Validate(); err == nil {
+		t.Error("zero sampler interval accepted")
 	}
 }
 
@@ -297,5 +306,68 @@ func TestHomogeneousCCFMixSeesNoBenefit(t *testing.T) {
 	perKI := float64(res.InclusionVictims) / float64(2*cfg.Instructions/1000)
 	if perKI > 0.5 {
 		t.Errorf("CCF+CCF mix suffered %.2f inclusion victims per KI", perKI)
+	}
+}
+
+// TestNextCoreMatchesTwoPassPick pins the one-pass key pick against the
+// two-pass scan it replaced: the lowest clock (lowest index on ties),
+// then the runner-up among the rest. The burst-end test on the key,
+// clock<<6|c > runner, must agree with the two-part comparison against
+// the runner-up's clock and index. Clocks are drawn from narrow spans
+// so ties are common, near 0 and just below maxClock.
+func TestNextCoreMatchesTwoPassPick(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 5))
+	for n := 1; n <= 64; n++ {
+		clocks := make([]uint64, n)
+		for trial := 0; trial < 200; trial++ {
+			var base uint64
+			if trial%2 == 1 {
+				base = maxClock - 64 - rng.Uint64N(maxClock/2)
+			}
+			span := uint64(1) << rng.IntN(6)
+			for i := range clocks {
+				clocks[i] = base + rng.Uint64N(span)
+			}
+			want := 0
+			for i := 1; i < n; i++ {
+				if clocks[i] < clocks[want] {
+					want = i
+				}
+			}
+			runnerVal, runnerIdx := ^uint64(0), n
+			for i := 0; i < n; i++ {
+				if i != want && clocks[i] < runnerVal {
+					runnerVal, runnerIdx = clocks[i], i
+				}
+			}
+			c, runner := nextCore(clocks)
+			if c != want {
+				t.Fatalf("n=%d clocks %v: nextCore picked %d, want %d", n, clocks, c, want)
+			}
+			for _, cy := range []uint64{clocks[c], clocks[c] + 1, runnerVal - 1, runnerVal, runnerVal + 1} {
+				if cy < clocks[c] || cy >= maxClock {
+					continue
+				}
+				got := cy<<6|uint64(c) > runner
+				if ref := cy > runnerVal || (cy == runnerVal && c > runnerIdx); got != ref {
+					t.Fatalf("n=%d clocks %v: core %d at clock %d yields %v, want %v",
+						n, clocks, c, cy, got, ref)
+				}
+			}
+		}
+	}
+}
+
+// TestClockGuardFailsRun forces a core clock past 2^58, where keys
+// would lose the clock's top bits, with a memory latency of 2^52: 64
+// serialised misses get there, while this short run's clocks stay below
+// 2^64, so without the guard it completes misordered and the test fails
+// fast instead of hanging on wrapped clocks. The run must fail.
+func TestClockGuardFailsRun(t *testing.T) {
+	cfg := quickConfig(2, 1000)
+	cfg.Hierarchy.Latency.Memory = maxClock / 64
+	_, err := RunMix(cfg, workload.Mix{Name: "GUARD", Apps: []string{"sje", "lib"}})
+	if err == nil || !strings.Contains(err.Error(), "2^58") {
+		t.Fatalf("RunMix error = %v, want the 2^58 clock guard", err)
 	}
 }
