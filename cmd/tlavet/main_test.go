@@ -11,35 +11,34 @@ import (
 	"tlacache/internal/analysis"
 )
 
-// writeBadModule lays out a throwaway module whose single internal
-// package carries one known violation per analyzer that applies to it.
+// writeBadModule lays out a throwaway module whose single metrics
+// package carries two floatcmp findings, at lines 5 and 8.
 func writeBadModule(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
-	files := map[string]string{
-		"go.mod": "module badmod\n\ngo 1.22\n",
-		// Line numbers matter: the test below pins panic(err) to line 6.
-		"internal/widget/widget.go": `package widget
+	writeFile(t, filepath.Join(dir, "go.mod"), "module badmod\n\ngo 1.22\n")
+	writeFile(t, filepath.Join(dir, "internal", "metrics", "metrics.go"), `package metrics
 
-// Explode re-throws a bare error, which panicmsg forbids.
-func Explode(err error) {
-	if err != nil {
-		panic(err)
+// Same compares accumulated results exactly, which floatcmp forbids.
+func Same(a, b float64) bool {
+	if a == b {
+		return true
 	}
-	panic("no prefix here")
+	return a != 0
 }
-`,
-	}
-	for name, content := range files {
-		path := filepath.Join(dir, filepath.FromSlash(name))
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+`)
 	return dir
+}
+
+// writeFile creates path, and its directory, with the given content.
+func writeFile(t *testing.T, path, content string) {
+	t.Helper()
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestRunFlagsFindings drives the real CLI entry point against a bad
@@ -59,17 +58,17 @@ func TestRunFlagsFindings(t *testing.T) {
 	if len(diags) != 2 {
 		t.Fatalf("got %d findings, want 2: %v", len(diags), diags)
 	}
-	want := filepath.Join("internal", "widget", "widget.go")
-	bare := diags[0]
-	if bare.Analyzer != "panicmsg" || bare.File != want || bare.Line != 6 {
-		t.Errorf("finding 0 = %s, want panicmsg at %s:6", bare, want)
+	want := filepath.Join("internal", "metrics", "metrics.go")
+	eq := diags[0]
+	if eq.Analyzer != "floatcmp" || eq.File != want || eq.Line != 5 {
+		t.Errorf("finding 0 = %s, want floatcmp at %s:5", eq, want)
 	}
-	if !strings.Contains(bare.Message, "bare panic(err)") {
-		t.Errorf("finding 0 message %q does not mention bare panic(err)", bare.Message)
+	if !strings.Contains(eq.Message, "floating-point == comparison") {
+		t.Errorf("finding 0 message %q does not name the == comparison", eq.Message)
 	}
-	missing := diags[1]
-	if missing.Analyzer != "panicmsg" || missing.File != want || missing.Line != 8 {
-		t.Errorf("finding 1 = %s, want panicmsg at %s:8", missing, want)
+	neq := diags[1]
+	if neq.Analyzer != "floatcmp" || neq.File != want || neq.Line != 8 {
+		t.Errorf("finding 1 = %s, want floatcmp at %s:8", neq, want)
 	}
 }
 
@@ -77,13 +76,8 @@ func TestRunFlagsFindings(t *testing.T) {
 // with nothing to report.
 func TestRunCleanModule(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module okmod\n\ngo 1.22\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	src := "package okmod\n\n// V is fine.\nvar V = 1\n"
-	if err := os.WriteFile(filepath.Join(dir, "ok.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeFile(t, filepath.Join(dir, "go.mod"), "module okmod\n\ngo 1.22\n")
+	writeFile(t, filepath.Join(dir, "ok.go"), "package okmod\n\n// V is fine.\nvar V = 1\n")
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-C", dir, "-json", "./..."}, &stdout, &stderr); code != 0 {
 		t.Fatalf("run = %d, want 0 (stderr: %s)", code, stderr.String())
@@ -113,8 +107,8 @@ func TestRunOutFile(t *testing.T) {
 		t.Fatalf("-out holds %d findings, want 2", len(diags))
 	}
 	// The text rendering on stdout must agree with the sidecar.
-	if !strings.Contains(stdout.String(), "widget.go:6:") {
-		t.Errorf("stdout %q lacks the widget.go:6 diagnostic", stdout.String())
+	if !strings.Contains(stdout.String(), "metrics.go:5:") {
+		t.Errorf("stdout %q lacks the metrics.go:5 diagnostic", stdout.String())
 	}
 }
 
@@ -126,18 +120,23 @@ func TestRunUnknownCheck(t *testing.T) {
 	}
 }
 
-// TestRunList checks that -list names every registered check with its
-// default-enabled status and analysis scope.
+// TestRunList checks that -list names every registered check, and only
+// those, with its analysis scope.
 func TestRunList(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("run = %d, want 0 (stderr: %s)", code, stderr.String())
 	}
 	out := stdout.String()
+	var names []string
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		names = append(names, strings.Fields(line)[0])
+	}
+	want := "probeguard floatcmp hotpath lockdiscipline detflow keycover exhaustive resetcover"
+	if got := strings.Join(names, " "); got != want {
+		t.Errorf("-list names %q, want %q", got, want)
+	}
 	for _, a := range analysis.Analyzers() {
-		if !strings.Contains(out, a.Name) {
-			t.Errorf("-list output lacks check %q:\n%s", a.Name, out)
-		}
 		if a.Doc == "" {
 			t.Errorf("check %q registers with an empty Doc", a.Name)
 		}
@@ -145,64 +144,11 @@ func TestRunList(t *testing.T) {
 			t.Errorf("check %q registers with no Help text (required for SARIF rule metadata)", a.Name)
 		}
 	}
-	if !strings.Contains(out, "[default, module]") {
+	if !strings.Contains(out, "[module]") {
 		t.Errorf("-list does not mark any interprocedural check:\n%s", out)
 	}
-	if !strings.Contains(out, "[default, package]") {
+	if !strings.Contains(out, "[package]") {
 		t.Errorf("-list does not mark any per-package check:\n%s", out)
-	}
-	if lines := strings.Count(strings.TrimSpace(out), "\n") + 1; lines != len(analysis.Analyzers()) {
-		t.Errorf("-list printed %d lines, want %d", lines, len(analysis.Analyzers()))
-	}
-}
-
-// TestRunBaselineRoundTrip exercises the full baseline lifecycle
-// against a module with known findings: -update-baseline records them
-// and exits 0; a run with -baseline suppresses exactly those findings;
-// and once the code is fixed, -fail-stale turns the now-unused entries
-// into a ratchet failure.
-func TestRunBaselineRoundTrip(t *testing.T) {
-	dir := writeBadModule(t)
-	basePath := filepath.Join(t.TempDir(), "baseline.json")
-
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-C", dir, "-baseline", basePath, "-update-baseline", "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-update-baseline run = %d, want 0 (stderr: %s)", code, stderr.String())
-	}
-	b, err := analysis.LoadBaseline(basePath)
-	if err != nil {
-		t.Fatalf("reading written baseline: %v", err)
-	}
-	if len(b.Entries) != 2 {
-		t.Fatalf("baseline holds %d entries, want 2: %+v", len(b.Entries), b.Entries)
-	}
-
-	// With the baseline applied the same module is clean.
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-C", dir, "-baseline", basePath, "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("baselined run = %d, want 0 (stderr: %s)", code, stderr.String())
-	}
-
-	// Fix the module: the baseline entries go stale, and -fail-stale
-	// turns that into the ratchet failure CI uses.
-	fixed := "package widget\n\n// Calm is beyond reproach.\nfunc Calm() int { return 1 }\n"
-	widget := filepath.Join(dir, "internal", "widget", "widget.go")
-	if err := os.WriteFile(widget, []byte(fixed), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-C", dir, "-baseline", basePath, "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("stale baseline without -fail-stale run = %d, want 0 (stderr: %s)", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "stale baseline entry") {
-		t.Errorf("stderr %q does not report stale entries", stderr.String())
-	}
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-C", dir, "-baseline", basePath, "-fail-stale", "./..."}, &stdout, &stderr); code != 1 {
-		t.Fatalf("-fail-stale run = %d, want 1 (stderr: %s)", code, stderr.String())
 	}
 }
 
@@ -258,12 +204,12 @@ func TestRunSARIF(t *testing.T) {
 		t.Fatalf("SARIF holds %d results, want 2", len(r.Results))
 	}
 	first := r.Results[0]
-	if first.RuleID != "panicmsg" {
-		t.Errorf("result 0 ruleId %q, want panicmsg", first.RuleID)
+	if first.RuleID != "floatcmp" {
+		t.Errorf("result 0 ruleId %q, want floatcmp", first.RuleID)
 	}
 	loc := first.Locations[0].PhysicalLocation
-	if loc.ArtifactLocation.URI != "internal/widget/widget.go" || loc.Region.StartLine != 6 {
-		t.Errorf("result 0 at %s:%d, want internal/widget/widget.go:6",
+	if loc.ArtifactLocation.URI != "internal/metrics/metrics.go" || loc.Region.StartLine != 5 {
+		t.Errorf("result 0 at %s:%d, want internal/metrics/metrics.go:5",
 			loc.ArtifactLocation.URI, loc.Region.StartLine)
 	}
 	// -json and -sarif together is a usage error.
@@ -274,77 +220,122 @@ func TestRunSARIF(t *testing.T) {
 
 // TestRunFailStaleAllows drives the stale-suppression detector: an
 // allow directive that suppresses a real finding is fine, and once the
-// finding is gone the directive itself becomes the finding.
+// finding is gone, or when the directive names no registered check, the
+// directive itself fails an unfiltered run.
 func TestRunFailStaleAllows(t *testing.T) {
 	dir := writeBadModule(t)
-	widget := filepath.Join(dir, "internal", "widget", "widget.go")
-	suppressed := `package widget
+	metrics := filepath.Join(dir, "internal", "metrics", "metrics.go")
+	writeFile(t, metrics, `package metrics
 
-// Explode re-throws a bare error, with both findings suppressed.
-func Explode(err error) {
-	if err != nil {
-		//tlavet:allow panicmsg wrapping adds nothing here
-		panic(err)
+// Same compares accumulated results exactly, with both findings waived.
+func Same(a, b float64) bool {
+	//tlavet:allow floatcmp both operands are copies of one stored value
+	if a == b {
+		return true
 	}
-	//tlavet:allow panicmsg prefix is implied by the only caller
-	panic("no prefix here")
+	return a != 0 //tlavet:allow floatcmp zero is an exact sentinel here
 }
-`
-	if err := os.WriteFile(widget, []byte(suppressed), 0o644); err != nil {
-		t.Fatal(err)
-	}
+`)
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-C", dir, "-fail-stale-allows", "./..."}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"-C", dir, "./..."}, &stdout, &stderr); code != 0 {
 		t.Fatalf("suppressed run = %d, want 0 (stdout: %s stderr: %s)", code, stdout.String(), stderr.String())
 	}
 
-	// Fix the panics: the directives now suppress nothing and must be
-	// reported as stale.
-	fixed := `package widget
+	// Fix the comparisons: the remaining directive now suppresses
+	// nothing and must be reported as stale.
+	writeFile(t, metrics, `package metrics
 
-// Explode is now beyond reproach.
-func Explode(err error) {
-	if err != nil {
-		//tlavet:allow panicmsg wrapping adds nothing here
-		panic("widget: " + err.Error())
-	}
+// Same is now beyond reproach.
+func Same(a, b float64) bool {
+	//tlavet:allow floatcmp both operands are copies of one stored value
+	return a < b
 }
-`
-	if err := os.WriteFile(widget, []byte(fixed), 0o644); err != nil {
-		t.Fatal(err)
-	}
+`)
 	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-C", dir, "-fail-stale-allows", "./..."}, &stdout, &stderr); code != 1 {
+	if code := run([]string{"-C", dir, "./..."}, &stdout, &stderr); code != 1 {
 		t.Fatalf("stale run = %d, want 1 (stderr: %s)", code, stderr.String())
 	}
-	if !strings.Contains(stdout.String(), "stale //tlavet:allow panicmsg") {
+	if !strings.Contains(stdout.String(), "metrics.go:5:0: floatcmp: stale //tlavet:allow floatcmp") {
 		t.Errorf("stdout %q does not report the stale directive", stdout.String())
 	}
-	// Without the flag the stale directive is tolerated.
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-C", dir, "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("run without -fail-stale-allows = %d, want 0 (stderr: %s)", code, stderr.String())
+	// A filtered run cannot prove a directive unused, and neither can a
+	// run that skipped the directive's check.
+	for _, args := range [][]string{{"./internal/metrics"}, {"-checks", "hotpath", "./..."}} {
+		stdout.Reset()
+		if code := run(append([]string{"-C", dir}, args...), &stdout, &stderr); code != 0 {
+			t.Fatalf("run %v = %d, want 0 (stdout: %s)", args, code, stdout.String())
+		}
 	}
-	// A filtered run cannot prove a directive unused: usage error.
-	if code := run([]string{"-C", dir, "-fail-stale-allows", "./internal/widget"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("filtered -fail-stale-allows run = %d, want 2", code)
+
+	// A directive naming a retired or misspelt check can never suppress
+	// anything: it is stale on every unfiltered run, whatever ran.
+	writeFile(t, metrics, `package metrics
+
+// Same is beyond reproach.
+func Same(a, b float64) bool {
+	//tlavet:allow panicmsg left behind by a retired check
+	return a < b
+}
+`)
+	stdout.Reset()
+	if code := run([]string{"-C", dir, "-checks", "hotpath", "./..."}, &stdout, &stderr); code != 1 {
+		t.Fatalf("unknown-check run = %d, want 1 (stdout: %s)", code, stdout.String())
+	}
+	if !strings.Contains(stdout.String(), "stale //tlavet:allow panicmsg: no registered check has that name") {
+		t.Errorf("stdout %q does not report the unknown-check directive", stdout.String())
 	}
 }
 
-// TestRunBaselineFlagValidation pins the usage errors of the baseline
-// flag family.
-func TestRunBaselineFlagValidation(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-update-baseline", "./..."}, &stdout, &stderr); code != 2 {
-		t.Fatalf("-update-baseline without -baseline run = %d, want 2", code)
+// TestPatternFilter pins package-pattern matching: a pattern selects the
+// named package and its subtree, never a sibling that merely shares a
+// prefix, and the module-wide forms select everything (a nil filter).
+func TestPatternFilter(t *testing.T) {
+	pkgs := []string{"m", "m/cmd/tla", "m/cmd/tla/sub", "m/cmd/tlasim", "m/internal/sim", "m/internal/simx"}
+	for _, tc := range []struct {
+		patterns []string
+		want     string // the matched packages, or "all" for a nil filter
+	}{
+		{nil, "all"},
+		{[]string{"./..."}, "all"},
+		{[]string{"..."}, "all"},
+		{[]string{"all"}, "all"},
+		{[]string{"."}, "all"},
+		{[]string{"m/..."}, "all"},
+		{[]string{"./cmd/tla"}, "m/cmd/tla m/cmd/tla/sub"},
+		{[]string{"./cmd/tla/..."}, "m/cmd/tla m/cmd/tla/sub"},
+		{[]string{"cmd/tlasim", "./internal/sim"}, "m/cmd/tlasim m/internal/sim"},
+		{[]string{"m/internal/sim"}, "m/internal/sim"},
+		{[]string{"./internl/..."}, ""},
+	} {
+		filter := patternFilter("m", tc.patterns)
+		got := "all"
+		if filter != nil {
+			var matched []string
+			for _, p := range pkgs {
+				if filter(p) {
+					matched = append(matched, p)
+				}
+			}
+			got = strings.Join(matched, " ")
+		}
+		if got != tc.want {
+			t.Errorf("patternFilter(%q) matches %q, want %q", tc.patterns, got, tc.want)
+		}
 	}
-	if code := run([]string{"-fail-stale", "./..."}, &stdout, &stderr); code != 2 {
-		t.Fatalf("-fail-stale without -baseline run = %d, want 2", code)
-	}
+}
+
+// TestRunNoMatchingPackage pins the usage error for a pattern that
+// selects nothing: exiting 0 there would pass a gate that checked
+// nothing.
+func TestRunNoMatchingPackage(t *testing.T) {
 	dir := writeBadModule(t)
-	if code := run([]string{"-C", dir, "-baseline", filepath.Join(dir, "nosuch.json"), "./..."}, &stdout, &stderr); code != 2 {
-		t.Fatalf("missing baseline file run = %d, want 2", code)
+	for _, pattern := range []string{"./internl/...", "./internal/metric"} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-C", dir, pattern}, &stdout, &stderr); code != 2 {
+			t.Fatalf("run %s = %d, want 2 (stdout: %s)", pattern, code, stdout.String())
+		}
+		if !strings.Contains(stderr.String(), "no package matches "+pattern) {
+			t.Errorf("stderr %q does not name the unmatched pattern", stderr.String())
+		}
 	}
 }

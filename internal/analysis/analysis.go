@@ -2,13 +2,19 @@
 // analyzer (go/parser, go/ast, go/types — no x/tools dependency) that
 // loads the module and runs domain-specific checks over the simulator's
 // source. The checks mechanically enforce properties the Go type system
-// cannot see but the paper's results depend on: deterministic replays
-// (nondeterminism), honest low-overhead instrumentation (probeguard),
-// attributable failures (panicmsg), monotone conserved counters
-// (counterdiscipline), and meaningful metric comparisons (floatcmp).
+// cannot see but the paper's results depend on: byte-identical replays
+// (detflow), honest low-overhead instrumentation (probeguard), a
+// zero-allocation access path (hotpath), sound concurrency in the
+// shared-state packages (lockdiscipline), meaningful metric comparisons
+// (floatcmp), dispatch that names every variant (exhaustive), and two
+// field-coverage proofs on one engine (fieldcover.go): the cache key
+// covers every result-affecting field (keycover) and every pooled reset
+// restores every field (resetcover). A finding is accepted only by a
+// reasoned `//tlavet:allow <check> <reason>` on or above its line.
 //
-// The dynamic counterpart — verifying the same properties on a running
-// hierarchy — is internal/hierarchy's audit mode (Auditor), wired to
+// Each rule has a dynamic twin that checks the same property on running
+// code; the monotone, conserved traffic counters, for instance, are
+// internal/hierarchy's audit mode (Auditor), wired to
 // sim.Config.AuditEvery and `tlasim -audit N`.
 package analysis
 
@@ -18,6 +24,7 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -61,9 +68,6 @@ type Analyzer struct {
 	// rule metadata (fullDescription and help). Every registered check
 	// must set it — the rule-parity test enforces this.
 	Help string
-	// Default reports whether the check runs when -checks selects "all".
-	// Every check can still be selected explicitly by name.
-	Default bool
 	// Run executes a per-package check against pass.Pkg.
 	Run func(pass *Pass)
 	// RunModule executes an interprocedural check against mp.Module.
@@ -127,14 +131,8 @@ func report(fset *token.FileSet, root, analyzer string, allows allowIndex,
 	if allows.allowed(analyzer, position.Filename, position.Line) {
 		return
 	}
-	file := position.Filename
-	if root != "" {
-		if rel, err := filepath.Rel(root, file); err == nil && !strings.HasPrefix(rel, "..") {
-			file = rel
-		}
-	}
 	*diags = append(*diags, Diagnostic{
-		File:       file,
+		File:       relPath(root, position.Filename),
 		Line:       position.Line,
 		Col:        position.Column,
 		Analyzer:   analyzer,
@@ -205,47 +203,62 @@ func buildAllowIndex(fset *token.FileSet, files []*ast.File) allowIndex {
 }
 
 // stale returns a diagnostic for every directive that suppressed
-// nothing during the run and names one of the selected checks (a
-// directive for a check that did not run is not evidence of anything).
-// root relativises file paths like report does.
-func (ai allowIndex) stale(root string, selected map[string]bool) []Diagnostic {
+// nothing during the run and either names a check that ran or names no
+// registered check at all (a directive for a registered check that did
+// not run is not evidence of anything). ran maps every registered check
+// to whether it ran.
+func (ai allowIndex) stale(root string, ran map[string]bool) []Diagnostic {
 	var out []Diagnostic
 	for file, byLine := range ai {
-		rel := file
-		if root != "" {
-			if r, err := filepath.Rel(root, file); err == nil && !strings.HasPrefix(r, "..") {
-				rel = r
-			}
-		}
 		for line, entries := range byLine {
 			for _, e := range entries {
-				if e.used || !selected[e.check] {
+				didRun, registered := ran[e.check]
+				if e.used || (registered && !didRun) {
 					continue
 				}
+				why := "no diagnostic is suppressed here"
+				if !registered {
+					why = "no registered check has that name"
+				}
 				out = append(out, Diagnostic{
-					File:       rel,
+					File:       relPath(root, file),
 					Line:       line,
 					Analyzer:   e.check,
-					Message:    "stale //tlavet:allow " + e.check + ": no diagnostic is suppressed here",
+					Message:    "stale //tlavet:allow " + e.check + ": " + why,
 					Suggestion: "delete the directive; suppressions may only shrink",
 				})
 			}
 		}
 	}
-	sortDiagnostics(out)
 	return out
 }
 
+// relPath makes file relative to root when root is set and contains it.
+func relPath(root, file string) string {
+	if root != "" {
+		if rel, err := filepath.Rel(root, file); err == nil && !strings.HasPrefix(rel, "..") {
+			return rel
+		}
+	}
+	return file
+}
+
 // TypeOf returns the static type of e, or nil when unknown.
-func (p *Pass) TypeOf(e ast.Expr) types.Type {
-	if tv, ok := p.Pkg.Info.Types[e]; ok {
+func (p *Pass) TypeOf(e ast.Expr) types.Type { return typeOf(p.Pkg, e) }
+
+// typeOf returns the static type of e in pkg, or nil when unknown.
+func typeOf(pkg *Package, e ast.Expr) types.Type {
+	if e == nil {
+		return nil
+	}
+	if tv, ok := pkg.Info.Types[e]; ok {
 		return tv.Type
 	}
 	if id, ok := e.(*ast.Ident); ok {
-		if obj := p.Pkg.Info.Uses[id]; obj != nil {
+		if obj := pkg.Info.Uses[id]; obj != nil {
 			return obj.Type()
 		}
-		if obj := p.Pkg.Info.Defs[id]; obj != nil {
+		if obj := pkg.Info.Defs[id]; obj != nil {
 			return obj.Type()
 		}
 	}
@@ -255,10 +268,7 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type {
 // Analyzers returns every registered check in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		NondeterminismAnalyzer,
 		ProbeGuardAnalyzer,
-		PanicMsgAnalyzer,
-		CounterDisciplineAnalyzer,
 		FloatCmpAnalyzer,
 		HotPathAnalyzer,
 		LockDisciplineAnalyzer,
@@ -269,32 +279,21 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// Select resolves a comma-separated -checks list against the registry.
-// "" or "all" selects every default-enabled check; default-off checks
-// must be named explicitly.
+// Select resolves a comma-separated -checks list against the registry;
+// "" or "all" selects every check.
 func Select(list string) ([]*Analyzer, error) {
 	all := Analyzers()
 	if list == "" || list == "all" {
-		var out []*Analyzer
-		for _, a := range all {
-			if a.Default {
-				out = append(out, a)
-			}
-		}
-		return out, nil
-	}
-	byName := make(map[string]*Analyzer, len(all))
-	for _, a := range all {
-		byName[a.Name] = a
+		return all, nil
 	}
 	var out []*Analyzer
 	for _, name := range strings.Split(list, ",") {
 		name = strings.TrimSpace(name)
-		a, ok := byName[name]
-		if !ok {
+		i := slices.IndexFunc(all, func(a *Analyzer) bool { return a.Name == name })
+		if i < 0 {
 			return nil, fmt.Errorf("analysis: unknown check %q", name)
 		}
-		out = append(out, a)
+		out = append(out, all[i])
 	}
 	return out, nil
 }
@@ -321,32 +320,16 @@ func RunPackage(fset *token.FileSet, pkg *Package, analyzers []*Analyzer, root s
 	return diags
 }
 
-// ModuleResult is the outcome of a full module run: the findings, and
-// the `//tlavet:allow` directives that suppressed none of them.
-type ModuleResult struct {
-	Diagnostics []Diagnostic
-	// StaleAllows lists directives for selected checks that suppressed
-	// nothing. Only computed for unfiltered runs (a pattern-restricted
-	// run does not evaluate every package, so an unused directive there
-	// proves nothing).
-	StaleAllows []Diagnostic
-}
-
 // RunModule runs the given analyzers over every package of m whose
-// import path is accepted by filter (nil accepts all), returning just
-// the findings. See RunModuleFull for stale-suppression tracking.
+// import path is accepted by filter (nil accepts all), returning the
+// findings sorted by position. Per-package analyzers run once per
+// accepted package; interprocedural analyzers run once over the whole
+// module — their call graphs must see every package regardless of the
+// filter — when at least one package is accepted. An unfiltered run
+// also reports every `//tlavet:allow` that suppressed nothing, so the
+// set of suppressions can only shrink; a filtered run does not evaluate
+// every package, so an unused directive there proves nothing.
 func RunModule(m *Module, analyzers []*Analyzer, filter func(pkgPath string) bool) []Diagnostic {
-	return RunModuleFull(m, analyzers, filter).Diagnostics
-}
-
-// RunModuleFull runs the given analyzers over every package of m whose
-// import path is accepted by filter (nil accepts all). Per-package
-// analyzers run once per accepted package; interprocedural analyzers
-// run once over the whole module — their call graphs must see every
-// package regardless of the filter — when at least one package is
-// accepted. All passes share one allow index so that, for unfiltered
-// runs, directives that suppressed nothing can be reported as stale.
-func RunModuleFull(m *Module, analyzers []*Analyzer, filter func(pkgPath string) bool) ModuleResult {
 	var diags []Diagnostic
 	var files []*ast.File
 	for _, pkg := range m.Pkgs {
@@ -360,30 +343,28 @@ func RunModuleFull(m *Module, analyzers []*Analyzer, filter func(pkgPath string)
 		}
 		anyAccepted = true
 		for _, a := range analyzers {
-			if a.Interprocedural() {
-				continue
+			if !a.Interprocedural() {
+				a.Run(&Pass{Analyzer: a, Fset: m.Fset, Pkg: pkg, Root: m.Root, diags: &diags, allows: allows})
 			}
-			pass := &Pass{Analyzer: a, Fset: m.Fset, Pkg: pkg, Root: m.Root, diags: &diags, allows: allows}
-			a.Run(pass)
 		}
 	}
-	if anyAccepted {
-		for _, a := range analyzers {
-			if a.Interprocedural() {
-				a.RunModule(&ModulePass{Analyzer: a, Fset: m.Fset, Module: m, Root: m.Root, diags: &diags, allows: allows})
-			}
+	for _, a := range analyzers {
+		if anyAccepted && a.Interprocedural() {
+			a.RunModule(&ModulePass{Analyzer: a, Fset: m.Fset, Module: m, Root: m.Root, diags: &diags, allows: allows})
 		}
+	}
+	if filter == nil {
+		ran := make(map[string]bool)
+		for _, a := range Analyzers() {
+			ran[a.Name] = false
+		}
+		for _, a := range analyzers {
+			ran[a.Name] = true
+		}
+		diags = append(diags, allows.stale(m.Root, ran)...)
 	}
 	sortDiagnostics(diags)
-	res := ModuleResult{Diagnostics: diags}
-	if filter == nil {
-		selected := make(map[string]bool, len(analyzers))
-		for _, a := range analyzers {
-			selected[a.Name] = true
-		}
-		res.StaleAllows = allows.stale(m.Root, selected)
-	}
-	return res
+	return diags
 }
 
 func sortDiagnostics(diags []Diagnostic) {

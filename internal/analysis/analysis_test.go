@@ -1,23 +1,26 @@
 package analysis
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 )
 
-// fixtureCases maps each analyzer to its golden-fixture directory and
-// the import path that places the fixture inside the analyzer's scope.
+// fixtureCases maps each golden-fixture directory to the analyzer it
+// exercises and the import path that places the fixture inside the
+// analyzer's scope. The nondeterminism fixture sits in a simulation
+// package, where detflow bans the sources themselves.
 var fixtureCases = []struct {
 	analyzer *Analyzer
 	dir      string
 	path     string
 }{
-	{NondeterminismAnalyzer, "nondeterminism", "tlacache/internal/sim"},
+	{DetflowAnalyzer, "nondeterminism", "tlacache/internal/sim"},
 	{ProbeGuardAnalyzer, "probeguard", "tlacache/internal/telemetry"},
-	{PanicMsgAnalyzer, "panicmsg", "tlacache/internal/widget"},
-	{CounterDisciplineAnalyzer, "counterdiscipline", "tlacache/internal/flux"},
 	{FloatCmpAnalyzer, "floatcmp", "tlacache/internal/metrics"},
 	{HotPathAnalyzer, "hotpath", "tlacache/internal/hotpath"},
 	{LockDisciplineAnalyzer, "lockdiscipline", "tlacache/internal/runner"},
@@ -27,12 +30,12 @@ var fixtureCases = []struct {
 	{ResetcoverAnalyzer, "resetcover", "tlacache/internal/resetcover"},
 }
 
-// TestGoldenFixtures checks every analyzer against its fixture: each
+// TestGoldenFixtures checks every analyzer against its fixtures: each
 // `// want` comment must be matched by a diagnostic on that exact
 // file:line, and no diagnostic may appear without a matching want.
 func TestGoldenFixtures(t *testing.T) {
 	for _, tc := range fixtureCases {
-		t.Run(tc.analyzer.Name, func(t *testing.T) {
+		t.Run(tc.dir, func(t *testing.T) {
 			pkg, err := LoadDir(filepath.Join("testdata", tc.dir), tc.path)
 			if err != nil {
 				t.Fatalf("loading fixture: %v", err)
@@ -191,19 +194,60 @@ func TestSelect(t *testing.T) {
 	if err != nil || len(all) != len(Analyzers()) {
 		t.Fatalf("Select(all) = %d analyzers, err %v", len(all), err)
 	}
-	two, err := Select("panicmsg, floatcmp")
-	if err != nil || len(two) != 2 || two[0].Name != "panicmsg" || two[1].Name != "floatcmp" {
-		t.Fatalf("Select(panicmsg, floatcmp) = %v, err %v", two, err)
+	two, err := Select("detflow, floatcmp")
+	if err != nil || len(two) != 2 || two[0].Name != "detflow" || two[1].Name != "floatcmp" {
+		t.Fatalf("Select(detflow, floatcmp) = %v, err %v", two, err)
 	}
-	if _, err := Select("nosuchcheck"); err == nil {
-		t.Fatal("Select(nosuchcheck) did not error")
+	for _, retired := range []string{"nosuchcheck", "panicmsg", "counterdiscipline", "nondeterminism"} {
+		if _, err := Select(retired); err == nil {
+			t.Fatalf("Select(%s) did not error", retired)
+		}
 	}
 }
 
 // TestDiagnosticString pins the compiler-style rendering.
 func TestDiagnosticString(t *testing.T) {
-	d := Diagnostic{File: "a/b.go", Line: 3, Col: 7, Analyzer: "panicmsg", Message: "m", Suggestion: "s"}
-	if got, want := d.String(), "a/b.go:3:7: panicmsg: m (s)"; got != want {
+	d := Diagnostic{File: "a/b.go", Line: 3, Col: 7, Analyzer: "floatcmp", Message: "m", Suggestion: "s"}
+	if got, want := d.String(), "a/b.go:3:7: floatcmp: m (s)"; got != want {
 		t.Fatalf("String() = %q, want %q", got, want)
+	}
+}
+
+// TestAllowDirectiveRequiresReason checks the suppression contract: a
+// directive suppresses its own line and the line below, only for the
+// named check, and only when a reason is given.
+func TestAllowDirectiveRequiresReason(t *testing.T) {
+	src := `package p
+
+//tlavet:allow hotpath bounded by construction
+var a = 1
+
+//tlavet:allow hotpath
+var b = 2
+
+var c = 3 //tlavet:allow lockdiscipline fixture says so
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "allow.go", src, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ai := buildAllowIndex(fset, []*ast.File{f})
+	cases := []struct {
+		check string
+		line  int
+		want  bool
+	}{
+		{"hotpath", 4, true},         // line below a reasoned directive
+		{"hotpath", 3, true},         // the directive's own line
+		{"hotpath", 7, false},        // reasonless directive suppresses nothing
+		{"lockdiscipline", 9, true},  // trailing directive, same line
+		{"hotpath", 9, false},        // wrong check name
+		{"lockdiscipline", 10, true}, // line below a trailing directive is also covered
+	}
+	for _, c := range cases {
+		if got := ai.allowed(c.check, "allow.go", c.line); got != c.want {
+			t.Errorf("allowed(%s, line %d) = %v, want %v", c.check, c.line, got, c.want)
+		}
 	}
 }

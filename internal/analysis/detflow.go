@@ -4,18 +4,25 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
+	"strconv"
 	"strings"
 )
 
-// DetflowAnalyzer is the interprocedural half of the byte-determinism
-// contract: identical (config, seed) inputs must yield byte-identical
-// manifests, decision traces, and cache keys. The per-package
-// nondeterminism check forbids nondeterministic constructs inside the
-// simulation packages; detflow instead tracks nondeterministic VALUES
-// and ORDERINGS anywhere in the module and reports when they flow into
-// a deterministic-output sink — a function annotated `//tlavet:detsink`
-// (the manifest encoder, the canonical cache-key renderer, the decision
-// and telemetry writers, the report formatters).
+// DetflowAnalyzer enforces the byte-determinism contract: identical
+// (config, seed) inputs must yield byte-identical manifests, decision
+// traces, and cache keys. It works at two depths.
+//
+// In the simulation packages, whose behaviour must be a pure function of
+// (configuration, seed), the sources themselves are banned: no wall
+// clock, no math/rand (imported under any alias), and no map or sync.Map
+// iteration whose body mutates state or appends to output.
+//
+// Everywhere in the module, detflow tracks nondeterministic VALUES and
+// ORDERINGS and reports when they flow into a deterministic-output sink
+// — a function annotated `//tlavet:detsink` (the manifest encoder, the
+// canonical cache-key renderer, the decision and telemetry writers, the
+// report formatters).
 //
 // Sources are the four ways Go programs pick up run-to-run variation:
 //
@@ -38,16 +45,26 @@ import (
 // by an explicit sort (sort.* / slices.Sort*) is considered laundered.
 var DetflowAnalyzer = &Analyzer{
 	Name: "detflow",
-	Doc:  "no nondeterministic value or ordering may flow into a //tlavet:detsink function",
+	Doc:  "no nondeterministic value or ordering may flow into a //tlavet:detsink function, nor arise in a simulation package",
 	Help: "A //tlavet:detsink function's output bytes are part of the " +
 		"determinism contract. Remove the tainted source (map iteration " +
 		"order, channel select, time) from the dataflow, or sort/serialise " +
-		"the value before it reaches the sink.",
-	Default:   true,
+		"the value before it reaches the sink. Simulation packages may not " +
+		"read the wall clock or math/rand, nor mutate state in map order: " +
+		"use the seeded generators and iterate over sorted keys.",
 	RunModule: runDetflow,
 }
 
+// simPackages lists the internal packages whose behaviour must be a
+// pure function of (configuration, seed).
+var simPackages = []string{"cache", "hierarchy", "sim", "replacement", "cpu", "trace"}
+
 func runDetflow(mp *ModulePass) {
+	for _, pkg := range mp.Module.Pkgs {
+		if pathInPackages(pkg.Path, simPackages...) {
+			banSources(mp, pkg)
+		}
+	}
 	g := buildCallGraph(mp.Module)
 	sinks := g.annotatedRoots(directiveDetSink)
 	if len(sinks) == 0 {
@@ -62,6 +79,103 @@ func runDetflow(mp *ModulePass) {
 	for _, n := range nodes {
 		scanDetflow(mp, g, n, chains)
 	}
+}
+
+const randSuggestion = "use the repository's deterministic xorshift rng (internal/trace) seeded from the run config"
+
+// banSources reports every nondeterministic source in one simulation
+// package: math/rand imports and uses, wall-clock reads, sync.Map
+// iteration, and state-mutating map iteration.
+func banSources(mp *ModulePass, pkg *Package) {
+	for _, f := range pkg.Files {
+		for _, imp := range f.Imports {
+			if path, _ := strconv.Unquote(imp.Path.Value); path == "math/rand" || path == "math/rand/v2" {
+				mp.Report(imp.Pos(),
+					"import of "+path+" in a simulation package: global sources are unseeded and not reproducible",
+					randSuggestion, nil)
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				// Use sites resolve the selector through the type checker,
+				// so an aliased import (mrand "math/rand") is caught even
+				// when the import line itself was suppressed.
+				switch importedPath(pkg, n) {
+				case "time":
+					if isClockRead(n.Sel.Name) {
+						mp.Report(n.Pos(), "time."+n.Sel.Name+" in a simulation package makes runs irreproducible",
+							"derive timing from the simulated clock, or accept a timestamp from the caller", nil)
+					}
+				case "math/rand", "math/rand/v2":
+					mp.Report(n.Pos(),
+						"math/rand use in a simulation package: global sources are unseeded and not reproducible",
+						randSuggestion, nil)
+				}
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Range" && isSyncMapType(typeOf(pkg, sel.X)) {
+					mp.Report(n.Pos(), "sync.Map iteration order is nondeterministic in a simulation package",
+						"simulation state is single-threaded per run: use a plain map and iterate over sorted keys", nil)
+				}
+			case *ast.RangeStmt:
+				checkMapRange(mp, pkg, n)
+			}
+			return true
+		})
+	}
+}
+
+// checkMapRange flags `for range m` over a map whose body mutates
+// non-local state or appends to a slice: the iteration order is
+// randomised by the runtime, so such loops produce run-to-run
+// different simulation results.
+func checkMapRange(mp *ModulePass, pkg *Package, rng *ast.RangeStmt) {
+	t := typeOf(pkg, rng.X)
+	if t == nil {
+		return
+	}
+	if _, ok := t.Underlying().(*types.Map); !ok {
+		return
+	}
+	var why string
+	var at ast.Node
+	ast.Inspect(rng.Body, func(n ast.Node) bool {
+		if why != "" {
+			return false
+		}
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if slices.ContainsFunc(n.Lhs, isStateExpr) {
+				why, at = "mutates shared state", n
+			}
+		case *ast.IncDecStmt:
+			if isStateExpr(n.X) {
+				why, at = "mutates shared state", n
+			}
+		case *ast.CallExpr:
+			if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "append" {
+				why, at = "appends to output", n
+			}
+		}
+		return true
+	})
+	if why != "" {
+		mp.Report(at.Pos(),
+			"map iteration order is nondeterministic and this loop body "+why,
+			"iterate over sorted keys, or restructure to an order-independent form", nil)
+	}
+}
+
+// isStateExpr reports whether e writes through a selector, index, or
+// pointer dereference — i.e. to state that outlives the loop iteration.
+func isStateExpr(e ast.Expr) bool {
+	switch e := e.(type) {
+	case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
+		return true
+	case *ast.ParenExpr:
+		return isStateExpr(e.X)
+	}
+	return false
 }
 
 const detflowSuggestion = "collect into a slice, sort, then emit; or derive the value deterministically from the simulated state"
@@ -120,7 +234,7 @@ func (s *detScan) walk(node ast.Node, region string, inLoop bool) {
 	case *ast.RangeStmt:
 		s.walkExpr(node.X, region, inLoop)
 		inner := region
-		if t := s.typeOf(node.X); t != nil {
+		if t := typeOf(s.n.pkg, node.X); t != nil {
 			if _, isMap := t.Underlying().(*types.Map); isMap {
 				inner = "map iteration order"
 				s.seedIdent(node.Key, inner)
@@ -340,18 +454,9 @@ func sourceCall(pkg *Package, call *ast.CallExpr) (string, bool) {
 	if !ok {
 		return "", false
 	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return "", false
-	}
-	pn, ok := pkg.Info.Uses[id].(*types.PkgName)
-	if !ok {
-		return "", false
-	}
-	switch pn.Imported().Path() {
+	switch importedPath(pkg, sel) {
 	case "time":
-		switch sel.Sel.Name {
-		case "Now", "Since", "Until":
+		if isClockRead(sel.Sel.Name) {
 			return "wall-clock time (time." + sel.Sel.Name + ")", true
 		}
 	case "math/rand", "math/rand/v2":
@@ -360,21 +465,30 @@ func sourceCall(pkg *Package, call *ast.CallExpr) (string, bool) {
 	return "", false
 }
 
+// isClockRead reports whether name is a package time function that
+// reads the wall clock.
+func isClockRead(name string) bool {
+	return name == "Now" || name == "Since" || name == "Until"
+}
+
+// importedPath resolves sel.X to the path of an imported package (under
+// any alias), or "" when sel.X is not a package name.
+func importedPath(pkg *Package, sel *ast.SelectorExpr) string {
+	if id, ok := sel.X.(*ast.Ident); ok {
+		if pn, ok := pkg.Info.Uses[id].(*types.PkgName); ok {
+			return pn.Imported().Path()
+		}
+	}
+	return ""
+}
+
 // isSortCall recognises sort.* and slices.Sort* calls.
 func isSortCall(pkg *Package, call *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	pn, ok := pkg.Info.Uses[id].(*types.PkgName)
-	if !ok {
-		return false
-	}
-	switch pn.Imported().Path() {
+	switch importedPath(pkg, sel) {
 	case "sort":
 		return true
 	case "slices":
@@ -389,7 +503,7 @@ func (s *detScan) isSyncMapRange(call *ast.CallExpr) bool {
 	if !ok || sel.Sel.Name != "Range" {
 		return false
 	}
-	return isSyncMapType(s.typeOf(sel.X))
+	return isSyncMapType(typeOf(s.n.pkg, sel.X))
 }
 
 // isSyncMapType reports whether t is sync.Map or *sync.Map.
@@ -405,21 +519,6 @@ func isSyncMapType(t types.Type) bool {
 		return false
 	}
 	return named.Obj().Pkg().Path() == "sync" && named.Obj().Name() == "Map"
-}
-
-func (s *detScan) typeOf(e ast.Expr) types.Type {
-	if e == nil {
-		return nil
-	}
-	if tv, ok := s.n.pkg.Info.Types[e]; ok {
-		return tv.Type
-	}
-	if id, ok := e.(*ast.Ident); ok {
-		if obj := s.n.pkg.Info.Uses[id]; obj != nil {
-			return obj.Type()
-		}
-	}
-	return nil
 }
 
 // report emits the diagnostics from the recorded facts.

@@ -35,7 +35,6 @@ var ExhaustiveAnalyzer = &Analyzer{
 	Help: "A switch over a //tlavet:exhaustive enum that misses a constant " +
 		"silently ignores new variants. Add the missing case, or an explicit " +
 		"default that panics with a package-prefixed message.",
-	Default:   true,
 	RunModule: runExhaustive,
 }
 

@@ -18,8 +18,7 @@ var FloatCmpAnalyzer = &Analyzer{
 	Help: "Exact float equality makes metric comparisons depend on summation " +
 		"order. Compare with an explicit epsilon, or restructure to integer " +
 		"counters.",
-	Default: true,
-	Run:     runFloatCmp,
+	Run: runFloatCmp,
 }
 
 func runFloatCmp(pass *Pass) {

@@ -25,7 +25,6 @@ var HotPathAnalyzer = &Analyzer{
 		"//tlavet:hotpath root regresses that budget. Hoist the allocation to " +
 		"setup, reuse a scratch buffer, or suppress a provably bounded site " +
 		"with //tlavet:allow hotpath <reason>.",
-	Default:   true,
 	RunModule: runHotPath,
 }
 

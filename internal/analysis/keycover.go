@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -24,10 +23,12 @@ import (
 //	//tlavet:keycover sim.Config
 //
 // The named struct and every module-local struct reachable through its
-// non-exempt fields (through pointers, slices, arrays, and map values)
-// become tracked. A field is covered when the encoder's body selects it
-// (cfg.Hierarchy, h.Cores — aliasing through local variables works
-// because matching is type-based), or when a whole value of its struct
+// non-exempt fields (named or embedded; through pointers, slices,
+// arrays, and map values) become tracked. A field is covered when the
+// encoder's body selects it (cfg.Hierarchy, h.Cores — aliasing through
+// local variables works because matching is type-based, and a promoted
+// selector covers the embedded field it goes through), or when a whole
+// value of its struct
 // is passed to a call (marshal mode: json.Marshal(m) covers every
 // exported field not tagged `json:"-"`). A field that must not enter
 // the output is annotated at its declaration:
@@ -44,7 +45,6 @@ var KeycoverAnalyzer = &Analyzer{
 		"covers every result-affecting field. Encode the new field in the " +
 		"annotated encoder (and bump the key version), or annotate it " +
 		"//tlavet:keyexempt <reason> when it cannot affect results.",
-	Default:   true,
 	RunModule: runKeycover,
 }
 
@@ -53,32 +53,9 @@ const (
 	directiveKeyexempt = "//tlavet:keyexempt"
 )
 
-// kcField is one struct field as seen at its declaration.
-type kcField struct {
-	name      string
-	pos       token.Pos
-	exported  bool
-	jsonSkip  bool // tagged `json:"-"`
-	exempt    bool
-	exemptPos token.Pos
-	// structKey is the tracked-type key of the field's (unwrapped)
-	// struct type when it is declared in this module, else "".
-	structKey string
-}
-
-// kcType is one module-declared struct type, keyed by
-// "<pkg path>.<type name>". String keys make matching robust across
-// packages: the same type seen through different import instantiations
-// compares equal.
-type kcType struct {
-	key     string
-	display string // "pkg.Type" using the package name
-	fields  []*kcField
-}
-
 func runKeycover(mp *ModulePass) {
 	m := mp.Module
-	structs := collectStructs(mp)
+	ix := newCoverIndex(mp, directiveKeyexempt)
 	g := buildCallGraph(m)
 
 	// Gather annotated encoders in deterministic order.
@@ -131,12 +108,12 @@ func runKeycover(mp *ModulePass) {
 		// Resolve the directive's type references against the module.
 		var roots []string
 		for _, ref := range t.refs {
-			key, err := resolveTypeRef(m, t.pkg, ref, "keycover")
+			key, err := resolveTypeRef(m, t.pkg, ref)
 			if err != "" {
 				mp.Report(t.decl.Name.Pos(), err, "name a struct type declared in this module", chain)
 				continue
 			}
-			if _, ok := structs[key]; !ok {
+			if ix.structs[key] == nil {
 				mp.Report(t.decl.Name.Pos(), "keycover target "+ref+" is not a struct type",
 					"name a struct type declared in this module", chain)
 				continue
@@ -146,7 +123,7 @@ func runKeycover(mp *ModulePass) {
 		if len(roots) == 0 {
 			continue
 		}
-		checkCoverage(mp, structs, t.pkg, t.decl, displayName(t.fn), roots, chain)
+		checkCoverage(mp, ix, t.pkg, t.decl, displayName(t.fn), roots, chain)
 	}
 }
 
@@ -171,280 +148,81 @@ func entryChain(g *callGraph, fn *types.Func) []string {
 	return best
 }
 
-// resolveTypeRef resolves "[pkg.]Type" to a tracked-type key. The
-// package part matches a module package NAME (not path); unqualified
-// references resolve in the annotated function's own package. The
-// second return is a non-empty error message (prefixed with the
-// calling check's name) when resolution fails.
-func resolveTypeRef(m *Module, pkg *Package, ref, check string) (string, string) {
-	if pkgName, typeName, ok := strings.Cut(ref, "."); ok {
-		var paths []string
-		for _, p := range m.Pkgs {
-			if p.Types.Name() == pkgName {
-				paths = append(paths, p.Path)
-			}
-		}
-		sort.Strings(paths)
-		for _, path := range paths {
-			return path + "." + typeName, ""
-		}
-		return "", check + ": no module package named " + pkgName + " (in " + ref + ")"
+// resolveTypeRef resolves "[pkg.]Type" to a type key. The package part
+// matches a module package NAME (not path), the first by import path
+// when several share it; unqualified references resolve in the
+// annotated function's own package. The second return is a non-empty
+// error message when resolution fails.
+func resolveTypeRef(m *Module, pkg *Package, ref string) (string, string) {
+	pkgName, typeName, ok := strings.Cut(ref, ".")
+	if !ok {
+		return pkg.Path + "." + ref, ""
 	}
-	return pkg.Path + "." + ref, ""
-}
-
-// collectStructs indexes every struct type declared in the module,
-// reading field exemption directives and json tags at the declaration.
-// Reasonless keyexempt directives are reported: like //tlavet:allow, an
-// exemption without a justification exempts nothing.
-func collectStructs(mp *ModulePass) map[string]*kcType {
-	m := mp.Module
-	modulePkgs := make(map[string]bool, len(m.Pkgs))
 	for _, p := range m.Pkgs {
-		modulePkgs[p.Path] = true
-	}
-	structs := make(map[string]*kcType)
-	for _, pkg := range m.Pkgs {
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				gd, ok := d.(*ast.GenDecl)
-				if !ok || gd.Tok != token.TYPE {
-					continue
-				}
-				for _, spec := range gd.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
-					st, ok := ts.Type.(*ast.StructType)
-					if !ok {
-						continue
-					}
-					kt := &kcType{
-						key:     pkg.Path + "." + ts.Name.Name,
-						display: pkg.Types.Name() + "." + ts.Name.Name,
-					}
-					for _, field := range st.Fields.List {
-						exempt, exemptPos := fieldExemption(mp, field)
-						jsonSkip := fieldJSONSkip(field)
-						for _, name := range field.Names {
-							kf := &kcField{
-								name:      name.Name,
-								pos:       name.Pos(),
-								exported:  ast.IsExported(name.Name),
-								jsonSkip:  jsonSkip,
-								exempt:    exempt,
-								exemptPos: exemptPos,
-							}
-							if v, ok := pkg.Info.Defs[name].(*types.Var); ok {
-								kf.structKey = structKeyOf(v.Type(), modulePkgs)
-							}
-							kt.fields = append(kt.fields, kf)
-						}
-					}
-					structs[kt.key] = kt
-				}
-			}
+		if p.Types.Name() == pkgName {
+			return p.Path + "." + typeName, ""
 		}
 	}
-	return structs
+	return "", "keycover: no module package named " + pkgName + " (in " + ref + ")"
 }
 
-// fieldExemption scans a field's doc and line comments for a
-// `//tlavet:keyexempt <reason>` directive.
-func fieldExemption(mp *ModulePass, field *ast.Field) (bool, token.Pos) {
-	for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
-		if cg == nil {
-			continue
-		}
-		for _, c := range cg.List {
-			rest, ok := strings.CutPrefix(c.Text, directiveKeyexempt)
-			if !ok || (rest != "" && !strings.HasPrefix(rest, " ")) {
-				continue
-			}
-			if len(strings.Fields(rest)) == 0 {
-				mp.Report(field.Pos(), "keyexempt directive has no reason",
-					"write //tlavet:keyexempt <reason> so exemptions stay auditable", nil)
-				continue
-			}
-			return true, c.Pos()
-		}
-	}
-	return false, token.NoPos
-}
-
-// fieldJSONSkip reports whether the field is tagged `json:"-"`.
-func fieldJSONSkip(field *ast.Field) bool {
-	if field.Tag == nil {
-		return false
-	}
-	raw, err := strconv.Unquote(field.Tag.Value)
-	if err != nil {
-		return false
-	}
-	name, _, _ := strings.Cut(reflect.StructTag(raw).Get("json"), ",")
-	return name == "-"
-}
-
-// structKeyOf unwraps pointers, slices, arrays, and map values and
-// returns the tracked-type key when the result is a named type declared
-// in this module, else "".
-func structKeyOf(t types.Type, modulePkgs map[string]bool) string {
-	for {
-		switch u := t.(type) {
-		case *types.Pointer:
-			t = u.Elem()
-			continue
-		case *types.Slice:
-			t = u.Elem()
-			continue
-		case *types.Array:
-			t = u.Elem()
-			continue
-		case *types.Map:
-			t = u.Elem()
-			continue
-		}
-		break
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return ""
-	}
-	if !modulePkgs[named.Obj().Pkg().Path()] {
-		return ""
-	}
-	return named.Obj().Pkg().Path() + "." + named.Obj().Name()
-}
-
-// checkCoverage verifies one encoder against its tracked types.
-func checkCoverage(mp *ModulePass, structs map[string]*kcType, pkg *Package,
+// checkCoverage verifies one encoder against the types tracked from
+// roots: each field must be selected by the encoder's body or reached
+// by a whole value passed to a call, and a leaf field selected twice is
+// a dead or double-encoded write.
+func checkCoverage(mp *ModulePass, ix *coverIndex, pkg *Package,
 	decl *ast.FuncDecl, encoder string, roots []string, chain []string) {
-	modulePkgs := make(map[string]bool)
-	for _, p := range mp.Module.Pkgs {
-		modulePkgs[p.Path] = true
-	}
+	tracked := ix.walk(roots, func(_ *coverType, f *coverField, _ []string) bool { return !f.exempt })
 
-	// Expand the tracked set through non-exempt struct fields.
-	tracked := make(map[string]bool)
-	work := append([]string(nil), roots...)
-	for len(work) > 0 {
-		key := work[0]
-		work = work[1:]
-		if tracked[key] {
-			continue
-		}
-		kt, ok := structs[key]
-		if !ok {
-			continue
-		}
-		tracked[key] = true
-		for _, f := range kt.fields {
-			if f.exempt || f.structKey == "" {
-				continue
-			}
-			if _, ok := structs[f.structKey]; ok {
-				work = append(work, f.structKey)
-			}
-		}
-	}
-
-	// Scan the encoder body: selector coverage and marshal mode.
-	selSites := make(map[string][]token.Pos) // field key → occurrences
-	wholesale := make(map[string]bool)       // type key → whole value passed to a call
+	sites := make(map[string][]token.Pos) // "<type key>.<field>" → selector occurrences
+	wholesale := make(map[string]bool)    // type key → whole value passed to a call
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.SelectorExpr:
-			t, ok := pkg.TypeOfExpr(n.X)
-			if !ok {
-				return true
+			for _, fk := range ix.fieldPath(pkg, n) {
+				sites[fk] = append(sites[fk], n.Sel.Pos())
 			}
-			key := structKeyOf(t, modulePkgs)
-			if key == "" || !tracked[key] {
-				return true
-			}
-			fk := key + "." + n.Sel.Name
-			selSites[fk] = append(selSites[fk], n.Sel.Pos())
 		case *ast.CallExpr:
 			for _, arg := range n.Args {
-				t, ok := pkg.TypeOfExpr(arg)
-				if !ok {
-					continue
-				}
-				key := structKeyOf(t, modulePkgs)
-				if key != "" && tracked[key] {
-					markWholesale(structs, wholesale, key)
+				if t, ok := pkg.TypeOfExpr(arg); ok && tracked[ix.keyOf(t)] {
+					ix.markWholesale(wholesale, ix.keyOf(t), func(f *coverField) bool {
+						return f.exported && !f.jsonSkip && !f.exempt
+					})
 				}
 			}
 		}
 		return true
 	})
 
-	// Report, in deterministic tracked-type order.
-	keys := make([]string, 0, len(tracked))
-	for k := range tracked {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		kt := structs[key]
-		for _, f := range kt.fields {
-			fk := key + "." + f.name
-			display := kt.display + "." + f.name
-			sites := selSites[fk]
-			wholesaleCovered := wholesale[key] && f.exported && !f.jsonSkip
-			covered := len(sites) > 0 || wholesaleCovered
-			if f.exempt {
-				// Only an explicit selector write contradicts an exemption;
-				// wholesale marshalling by a different encoder does not make
-				// the canonical-form exemption stale.
-				if len(sites) > 0 {
-					mp.Report(f.pos,
-						"stale //tlavet:keyexempt: field "+display+" IS written by "+encoder,
-						"drop the exemption or stop encoding the field", chain)
-				}
-				continue
-			}
-			if !covered {
+	ix.walk(roots, func(t *coverType, f *coverField, _ []string) bool {
+		display := t.display + "." + f.name
+		s := sites[t.key+"."+f.name]
+		switch {
+		case f.exempt:
+			// Only an explicit selector write contradicts an exemption;
+			// wholesale marshalling by a different encoder does not make
+			// the canonical-form exemption stale.
+			if len(s) > 0 {
 				mp.Report(f.pos,
-					"field "+display+" is never written by "+encoder+
-						" and has no //tlavet:keyexempt (via "+strings.Join(chain, " → ")+")",
-					"encode the field (and bump the key/schema version) or annotate //tlavet:keyexempt <reason>",
-					chain)
-				continue
+					"stale //tlavet:keyexempt: field "+display+" IS written by "+encoder,
+					"drop the exemption or stop encoding the field", chain)
 			}
+			return false
+		case len(s) == 0 && !(wholesale[t.key] && f.exported && !f.jsonSkip):
+			mp.Report(f.pos,
+				"field "+display+" is never written by "+encoder+
+					" and has no //tlavet:keyexempt (via "+strings.Join(chain, " → ")+")",
+				"encode the field (and bump the key/schema version) or annotate //tlavet:keyexempt <reason>",
+				chain)
+		case len(s) > 1 && ix.structs[f.structKey] == nil:
 			// Duplicate writes are only meaningful for leaves: a struct
 			// field is legitimately selected once per nested field
 			// (cfg.CPU.Width, cfg.CPU.ROB…).
-			isStruct := f.structKey != "" && tracked[f.structKey]
-			if !isStruct && len(sites) > 1 {
-				mp.Report(sites[1],
-					"field "+display+" is written "+strconv.Itoa(len(sites))+" times by "+encoder+
-						": the extra write is dead or double-encodes the field",
-					"encode each field exactly once", chain)
-			}
+			mp.Report(s[1],
+				"field "+display+" is written "+strconv.Itoa(len(s))+" times by "+encoder+
+					": the extra write is dead or double-encodes the field",
+				"encode each field exactly once", chain)
 		}
-	}
-}
-
-// markWholesale marks key and, transitively, the struct types of its
-// marshal-visible fields as wholly encoded: passing the value to an
-// encoder covers every exported field not tagged `json:"-"`.
-func markWholesale(structs map[string]*kcType, wholesale map[string]bool, key string) {
-	if wholesale[key] {
-		return
-	}
-	wholesale[key] = true
-	kt, ok := structs[key]
-	if !ok {
-		return
-	}
-	for _, f := range kt.fields {
-		if !f.exported || f.jsonSkip || f.exempt || f.structKey == "" {
-			continue
-		}
-		if _, ok := structs[f.structKey]; ok {
-			markWholesale(structs, wholesale, f.structKey)
-		}
-	}
+		return true
+	})
 }

@@ -39,8 +39,7 @@ var LockDisciplineAnalyzer = &Analyzer{
 		"touched with the mutex held, channel sends must not happen under a " +
 		"lock, and mutex-bearing structs must not be copied. Move the access " +
 		"inside the Lock/Unlock window or hand the value off outside it.",
-	Default: true,
-	Run:     runLockDiscipline,
+	Run: runLockDiscipline,
 }
 
 func runLockDiscipline(pass *Pass) {

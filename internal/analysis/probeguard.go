@@ -20,8 +20,7 @@ var ProbeGuardAnalyzer = &Analyzer{
 	Help: "Probes and tracers are optional observers; calling one unguarded " +
 		"turns \"observability off\" into a nil-pointer crash. Dominate every " +
 		"observer call with an explicit nil check.",
-	Default: true,
-	Run:     runProbeGuard,
+	Run: runProbeGuard,
 }
 
 // probeInterfaces names the telemetry observer interfaces the guard

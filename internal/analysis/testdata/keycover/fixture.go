@@ -92,3 +92,24 @@ func badTarget() {} // want `keycover: no module package named missing \(in miss
 //
 //tlavet:keycover
 func emptyTarget() {} // want `keycover directive names no type`
+
+// Delays is embedded by Timing: embedded fields are tracked like named
+// ones.
+type Delays struct {
+	Hit  int
+	Miss int // want `field keycover\.Delays\.Miss is never written by keycover\.timingKey and has no //tlavet:keyexempt \(via keycover\.timingKey\)`
+}
+
+// Timing embeds Delays. The promoted t.Hit covers both the embedded
+// field Timing.Delays and Delays.Hit; Miss is never written.
+type Timing struct {
+	Delays
+	Width int
+}
+
+// timingKey renders Timing through a promoted selector.
+//
+//tlavet:keycover Timing
+func timingKey(t Timing) string {
+	return fmt.Sprintf("%d|%d", t.Hit, t.Width)
+}

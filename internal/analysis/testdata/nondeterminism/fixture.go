@@ -1,5 +1,5 @@
-// Package sim is a golden fixture for the nondeterminism analyzer. Its
-// import path ("tlacache/internal/sim") places it inside the
+// Package sim is a golden fixture for detflow's simulation-package ban.
+// Its import path ("tlacache/internal/sim") places it inside the
 // simulation-package scope, so every reproducibility hazard below must
 // be reported at the marked line: imports of math/rand (under any
 // alias), use sites of rand values, wall-clock reads (Now, Since,
