@@ -122,11 +122,12 @@ func BenchmarkAccessSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkDecisionTraceOff pins the decision tracer's disabled cost:
-// with no tracer attached, the QBS eviction path — the mode with the
-// most decision-snapshot work to skip — must run allocation-free and
-// at baseline speed. The nil-tracer guard is a single predictable
-// branch; with -benchmem the allocs/op column is the CI gate.
+// BenchmarkDecisionTraceOff pins the decision hook's disabled cost:
+// with no telemetry recorder attached, the QBS eviction path — the mode
+// with the most decision-snapshot work to skip — must run
+// allocation-free and at baseline speed. The nil-recorder guard is a
+// single predictable branch; with -benchmem the allocs/op column is
+// the CI gate.
 func BenchmarkDecisionTraceOff(b *testing.B) {
 	s := newStepper(b, func(c *hierarchy.Config) { c.TLA = hierarchy.TLAQBS })
 	s.step(200_000)

@@ -159,10 +159,10 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 }
 
 // BenchmarkTelemetryOverhead measures what instrumentation costs on a
-// QBS run (the policy with the most probe sites): "off" is the
-// nil-probe fast path every uninstrumented run takes, "recorder" adds
-// the event probe, and "recorder+sampler" adds the interval sampler on
-// top. "off" is the configuration the <2% regression budget guards.
+// QBS run (the policy with the most recorder call sites): "off" is the
+// nil-recorder fast path every uninstrumented run takes, "recorder"
+// attaches a recorder, and "recorder+sampler" also samples intervals.
+// "off" is the configuration the <2% regression budget guards.
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	base := sim.DefaultConfig(2)
 	base.Instructions = 100_000
@@ -178,10 +178,9 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 				cfg := base
 				switch mode {
 				case "recorder":
-					cfg.Probe = telemetry.NewRecorder()
+					cfg.Telemetry = telemetry.NewRecorder(0)
 				case "recorder+sampler":
-					cfg.Probe = telemetry.NewRecorder()
-					cfg.Sampler = telemetry.NewSampler(10_000)
+					cfg.Telemetry = telemetry.NewRecorder(10_000)
 				}
 				if _, err := sim.RunMix(cfg, mix); err != nil {
 					b.Fatal(err)

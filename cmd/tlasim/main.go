@@ -155,14 +155,14 @@ func main() {
 	}
 
 	// One job per policy; a single policy degenerates to one job. When
-	// -interval is set, every job gets its own sampler and recorder so
+	// a flag needs telemetry, every job gets its own recorder so
 	// parallel comparison runs never share telemetry state.
 	type outcome struct {
-		Policy    string             `json:"policy"`
-		Config    sim.Config         `json:"-"`
-		Result    sim.MixResult      `json:"result"`
-		Sampler   *telemetry.Sampler `json:"-"`
-		Telemetry *telemetry.Summary `json:"telemetry,omitempty"`
+		Policy    string              `json:"policy"`
+		Config    sim.Config          `json:"-"`
+		Result    sim.MixResult       `json:"result"`
+		Recorder  *telemetry.Recorder `json:"-"`
+		Telemetry *telemetry.Summary  `json:"telemetry,omitempty"`
 	}
 	jobs := make([]runner.Job[outcome], len(policies))
 	for i, p := range policies {
@@ -176,9 +176,9 @@ func main() {
 			Work: uint64(cores) * (cfg.Warmup + cfg.Instructions),
 			Run: func(context.Context) (out outcome, err error) {
 				out = outcome{Policy: p, Config: cfg}
-				if *interval > 0 {
-					out.Sampler = telemetry.NewSampler(*interval)
-					cfg.Sampler = out.Sampler
+				if *interval > 0 || *audit > 0 || *decisionTrace != "" {
+					out.Recorder = telemetry.NewRecorder(*interval)
+					cfg.Telemetry = out.Recorder
 				}
 				if *decisionTrace != "" {
 					path := decisionTracePath(*decisionTrace, p, len(policies) > 1)
@@ -201,7 +201,7 @@ func main() {
 						f.Close()
 						return out, ferr
 					}
-					cfg.DecisionTracer = sink
+					out.Recorder.Decisions = sink
 					defer func() {
 						if ferr := sink.Flush(); ferr != nil && err == nil {
 							err = ferr
@@ -214,13 +214,10 @@ func main() {
 						}
 					}()
 				}
-				// The audit mode needs a recorder attached so its
-				// probe/traffic cross-checks have counts to compare.
+				// Sampled and audited runs report the telemetry summary.
 				if *interval > 0 || *audit > 0 {
-					rec := telemetry.NewRecorder()
-					cfg.Probe = rec
 					defer func() {
-						s := rec.Summary()
+						s := out.Recorder.Summary()
 						out.Telemetry = &s
 					}()
 				}
@@ -262,11 +259,11 @@ func main() {
 			if len(results) > 1 {
 				prefix += "-" + r.Value.Policy
 			}
-			if err := r.Value.Sampler.WritePair(prefix); err != nil {
+			if err := r.Value.Recorder.WritePair(prefix); err != nil {
 				log.Fatal(err)
 			}
 			log.Printf("telemetry: wrote %s.csv and %s.jsonl (%d samples)",
-				prefix, prefix, len(r.Value.Sampler.Samples()))
+				prefix, prefix, len(r.Value.Recorder.Samples()))
 		}
 	}
 
@@ -394,7 +391,7 @@ func profileFactory(paths []string, seed uint64) (func() ([]trace.Generator, err
 	}, len(paths), nil
 }
 
-// telemetryReport prints the probe summary collected alongside a run:
+// telemetryReport prints the telemetry summary collected alongside a run:
 // event counts plus the QBS query-depth and ECI rescue-distance
 // histograms when the policy produced them.
 func telemetryReport(s telemetry.Summary) {

@@ -3,7 +3,6 @@
 // go/types (no external dependencies) and runs checks for properties
 // the type system cannot express but the paper's results depend on:
 //
-//	probeguard      telemetry probe calls dominated by nil checks
 //	floatcmp        no ==/!= on floats in metrics/experiments
 //	hotpath         no heap allocation reachable from //tlavet:hotpath
 //	                roots (interprocedural, call chains in findings)

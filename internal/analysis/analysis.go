@@ -3,13 +3,12 @@
 // loads the module and runs domain-specific checks over the simulator's
 // source. The checks mechanically enforce properties the Go type system
 // cannot see but the paper's results depend on: byte-identical replays
-// (detflow), honest low-overhead instrumentation (probeguard), a
-// zero-allocation access path (hotpath), sound concurrency in the
-// shared-state packages (lockdiscipline), meaningful metric comparisons
-// (floatcmp), dispatch that names every variant (exhaustive), and two
-// field-coverage proofs on one engine (fieldcover.go): the cache key
-// covers every result-affecting field (keycover) and every pooled reset
-// restores every field (resetcover). A finding is accepted only by a
+// (detflow), a zero-allocation access path (hotpath), sound concurrency
+// in the shared-state packages (lockdiscipline), meaningful metric
+// comparisons (floatcmp), dispatch that names every variant
+// (exhaustive), and two field-coverage proofs on one engine
+// (fieldcover.go): the cache key covers every result-affecting field
+// (keycover) and every pooled reset restores every field (resetcover). A finding is accepted only by a
 // reasoned `//tlavet:allow <check> <reason>` on or above its line.
 //
 // Each rule has a dynamic twin that checks the same property on running
@@ -268,7 +267,6 @@ func typeOf(pkg *Package, e ast.Expr) types.Type {
 // Analyzers returns every registered check in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		ProbeGuardAnalyzer,
 		FloatCmpAnalyzer,
 		HotPathAnalyzer,
 		LockDisciplineAnalyzer,
@@ -413,18 +411,4 @@ func walkWithStack(pkg *Package, fn func(n ast.Node, stack []ast.Node)) {
 			return true
 		})
 	}
-}
-
-// enclosingFunc returns the innermost function declaration or literal
-// in the ancestor stack, with its name ("" for a literal).
-func enclosingFunc(stack []ast.Node) (node ast.Node, name string) {
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch fn := stack[i].(type) {
-		case *ast.FuncLit:
-			return fn, ""
-		case *ast.FuncDecl:
-			return fn, fn.Name.Name
-		}
-	}
-	return nil, ""
 }

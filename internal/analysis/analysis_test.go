@@ -20,7 +20,6 @@ var fixtureCases = []struct {
 	path     string
 }{
 	{DetflowAnalyzer, "nondeterminism", "tlacache/internal/sim"},
-	{ProbeGuardAnalyzer, "probeguard", "tlacache/internal/telemetry"},
 	{FloatCmpAnalyzer, "floatcmp", "tlacache/internal/metrics"},
 	{HotPathAnalyzer, "hotpath", "tlacache/internal/hotpath"},
 	{LockDisciplineAnalyzer, "lockdiscipline", "tlacache/internal/runner"},

@@ -22,8 +22,8 @@ import (
 //   - interface method calls, resolved by implements-matching: an edge
 //     is added to every method of every named type in the module whose
 //     (pointer) method set satisfies the interface — this is how a call
-//     through replacement.Policy or telemetry.Probe fans out to the
-//     concrete implementations;
+//     through replacement.Policy or telemetry.DecisionTracer fans out to
+//     the concrete implementations;
 //   - function literals, whose bodies are attributed to the enclosing
 //     declared function (a closure runs at most where its creator could
 //     run, so this keeps reachability conservative without modelling

@@ -8,8 +8,8 @@ import (
 )
 
 // parseOnly builds a Package with parsed files and no type information
-// — walkWithStack and enclosingFunc are purely syntactic, so the tests
-// exercise them without a type-check.
+// — walkWithStack is purely syntactic, so the test exercises it without
+// a type-check.
 func parseOnly(t *testing.T, src string) *Package {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -45,75 +45,6 @@ func free() {
 var markInner, markOuter, markMethod, markFree int
 var t *T
 `
-
-// TestEnclosingFuncNestedLiterals drives enclosingFunc through every
-// nesting level of walkSrc: identifiers inside nested function
-// literals must resolve to the innermost literal (name ""), not the
-// method that lexically contains them, and identifiers in declaration
-// or method-value position must resolve to their declared function.
-func TestEnclosingFuncNestedLiterals(t *testing.T) {
-	pkg := parseOnly(t, walkSrc)
-	// marker identifier → (want node type, want name)
-	type expectation struct {
-		wantLit  bool
-		wantName string
-	}
-	expects := map[string]expectation{
-		"markInner":  {wantLit: true, wantName: ""},
-		"markOuter":  {wantLit: true, wantName: ""},
-		"markMethod": {wantLit: false, wantName: "Method"},
-		"markFree":   {wantLit: false, wantName: "free"},
-	}
-	seen := make(map[string]bool)
-	walkWithStack(pkg, func(n ast.Node, stack []ast.Node) {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return
-		}
-		exp, tracked := expects[id.Name]
-		if !tracked || seen[id.Name] {
-			return
-		}
-		node, name := enclosingFunc(stack)
-		if node == nil {
-			// The marker's own var declaration sits outside any function;
-			// only record the in-function occurrence.
-			return
-		}
-		seen[id.Name] = true
-		_, isLit := node.(*ast.FuncLit)
-		if isLit != exp.wantLit || name != exp.wantName {
-			t.Errorf("%s: enclosingFunc = (%T, %q), want (lit=%v, %q)",
-				id.Name, node, name, exp.wantLit, exp.wantName)
-		}
-	})
-	for marker := range expects {
-		if !seen[marker] {
-			t.Errorf("marker %s never visited inside a function", marker)
-		}
-	}
-}
-
-// TestEnclosingFuncMethodValue pins the stack shape at a method-value
-// expression: `t.Method` used as a value (not called) still reports the
-// plain function that contains it.
-func TestEnclosingFuncMethodValue(t *testing.T) {
-	pkg := parseOnly(t, walkSrc)
-	found := false
-	walkWithStack(pkg, func(n ast.Node, stack []ast.Node) {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "Method" {
-			return
-		}
-		// Skip the declaration itself; we want the value use in free().
-		if _, name := enclosingFunc(stack); name == "free" {
-			found = true
-		}
-	})
-	if !found {
-		t.Error("method value t.Method in free() not attributed to free")
-	}
-}
 
 // TestWalkWithStackAncestry checks the stack really is the ancestor
 // path: for every visited node, the last stack element must be its

@@ -14,8 +14,8 @@ import (
 
 // CounterfactualConfig names one counterfactual experiment: a base
 // machine (policy not yet applied), the workload mix, and the two
-// policies to contrast. Sim must have the observer fields unset — the
-// engine owns the tracer it attaches.
+// policies to contrast. Sim must have no Telemetry recorder — the
+// engine owns the one it attaches.
 type CounterfactualConfig struct {
 	Sim        sim.Config
 	Mix        workload.Mix
@@ -43,7 +43,7 @@ type Counterfactual struct {
 // the attached tracer cannot perturb the base run (it only observes —
 // see TestCounterfactualTracerInvisible).
 func RunCounterfactual(cc CounterfactualConfig) (*Counterfactual, error) {
-	if cc.Sim.DecisionTracer != nil || cc.Sim.Probe != nil || cc.Sim.Sampler != nil {
+	if cc.Sim.Telemetry != nil {
 		return nil, fmt.Errorf("decision: counterfactual config must not carry observers")
 	}
 	baseCfg := cc.Sim
@@ -56,7 +56,8 @@ func RunCounterfactual(cc CounterfactualConfig) (*Counterfactual, error) {
 	}
 
 	log := &telemetry.DecisionLog{}
-	baseCfg.DecisionTracer = log
+	baseCfg.Telemetry = telemetry.NewRecorder(0)
+	baseCfg.Telemetry.Decisions = log
 	base, err := sim.RunMix(baseCfg, cc.Mix)
 	if err != nil {
 		return nil, fmt.Errorf("decision: base policy %s: %w", cc.BasePolicy, err)

@@ -56,7 +56,8 @@ func TestAnalyzeViewsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	log := &telemetry.DecisionLog{}
-	cfg.DecisionTracer = teeTracer{a: log, b: teeTracer{a: bw, b: jw}}
+	cfg.Telemetry = telemetry.NewRecorder(0)
+	cfg.Telemetry.Decisions = teeTracer{a: log, b: teeTracer{a: bw, b: jw}}
 	if _, err := sim.RunMix(cfg, mix); err != nil {
 		t.Fatal(err)
 	}
@@ -182,12 +183,12 @@ func TestCounterfactualAgreesWithDirectSim(t *testing.T) {
 
 func TestCounterfactualRejectsObservers(t *testing.T) {
 	cfg, mix := smallConfig(t)
-	cfg.DecisionTracer = &telemetry.DecisionLog{}
+	cfg.Telemetry = telemetry.NewRecorder(0)
 	_, err := RunCounterfactual(CounterfactualConfig{
 		Sim: cfg, Mix: mix, BasePolicy: "baseline", AltPolicy: "qbs",
 	})
 	if err == nil {
-		t.Fatal("config carrying a tracer was accepted; the engine owns its observers")
+		t.Fatal("config carrying a recorder was accepted; the engine owns its observers")
 	}
 }
 

@@ -52,15 +52,15 @@ type Options struct {
 	// instruction throughput for the run manifest.
 	Stats *runner.Collector
 	// SampleEvery, when non-zero, instruments every simulation cell with
-	// a telemetry recorder and an interval sampler snapshotting per-core
-	// IPC, MPKI, and inclusion victims every SampleEvery committed
-	// instructions. Probe summaries land in the Stats manifest.
+	// a telemetry recorder snapshotting per-core IPC, MPKI, and
+	// inclusion victims every SampleEvery committed instructions.
+	// Telemetry summaries land in the Stats manifest.
 	SampleEvery uint64
 	// SampleDir, when set alongside SampleEvery, receives one
 	// <mix>-<spec>-intervals.{csv,jsonl} time-series pair per cell.
 	SampleDir string
-	// DecisionTraceDir, when set, attaches an LLC decision tracer to
-	// every simulation cell and writes one binary TLAD1 trace per cell,
+	// DecisionTraceDir, when set, traces every simulation cell's LLC
+	// victim decisions and writes one binary TLAD1 trace per cell,
 	// <mix>-<spec>-decisions.tlad, for offline analysis with cmd/tlatrace.
 	DecisionTraceDir string
 }
@@ -240,13 +240,10 @@ func runMatrix(o Options, cores int, mixes []workload.Mix, specs []Spec, mutate 
 				Work: work,
 				Run: func(context.Context) (res sim.MixResult, err error) {
 					c := cfg
-					var rec *telemetry.Recorder
-					if o.SampleEvery > 0 {
-						// Each cell owns its sampler and recorder, so
-						// parallel cells never share telemetry state.
-						c.Sampler = telemetry.NewSampler(o.SampleEvery)
-						rec = telemetry.NewRecorder()
-						c.Probe = rec
+					if o.SampleEvery > 0 || o.DecisionTraceDir != "" {
+						// Each cell owns its recorder, so parallel cells
+						// never share telemetry state.
+						c.Telemetry = telemetry.NewRecorder(o.SampleEvery)
 					}
 					if o.DecisionTraceDir != "" {
 						// Each cell owns its decision-trace writer; the
@@ -264,7 +261,7 @@ func runMatrix(o Options, cores int, mixes []workload.Mix, specs []Spec, mutate 
 							f.Close()
 							return res, ferr
 						}
-						c.DecisionTracer = dw
+						c.Telemetry.Decisions = dw
 						defer func() {
 							if ferr := dw.Flush(); ferr != nil && err == nil {
 								err = ferr
@@ -278,12 +275,12 @@ func runMatrix(o Options, cores int, mixes []workload.Mix, specs []Spec, mutate 
 					if err != nil {
 						return res, fmt.Errorf("%s under %s: %w", mix.Name, spec.Name, err)
 					}
-					if rec != nil {
-						o.Stats.AddTelemetry(mix.Name+"/"+spec.Name, rec.Summary())
+					if o.SampleEvery > 0 {
+						o.Stats.AddTelemetry(mix.Name+"/"+spec.Name, c.Telemetry.Summary())
 						if o.SampleDir != "" {
 							prefix := filepath.Join(o.SampleDir,
 								sanitizeName(mix.Name+"-"+spec.Name)+"-intervals")
-							if werr := c.Sampler.WritePair(prefix); werr != nil {
+							if werr := c.Telemetry.WritePair(prefix); werr != nil {
 								return res, werr
 							}
 						}

@@ -186,8 +186,8 @@ func (h *Hierarchy) lookupLLC(core int, kind AccessKind, la uint64) Result {
 			// is a rescue: the line was early-invalidated from the core
 			// caches and the prompt re-reference ECI bet on has arrived.
 			// The TLA check leads so non-ECI runs skip the presence read.
-			if h.cfg.TLA == TLAECI && h.probe != nil && h.llc.PresenceAt(set, way) == 0 {
-				h.probe.ECIRescue(la)
+			if h.cfg.TLA == TLAECI && h.llc.PresenceAt(set, way) == 0 {
+				h.tel.ECIRescue(la)
 			}
 			h.llc.PromoteWay(set, way)
 			h.llc.AddPresenceAt(set, way, core)
@@ -330,9 +330,6 @@ func (h *Hierarchy) allocL2(core int, la uint64) {
 		}
 		if removed {
 			h.Cores[core].L2InclusionVictims++
-			if h.probe != nil {
-				h.probe.L2InclusionVictim(core, victim.Addr)
-			}
 		}
 	}
 	l2.FillWay(set, way, la, 0)
@@ -384,16 +381,17 @@ func (h *Hierarchy) insertLLCFromL2(core int, victim cache.Line) {
 	}
 	set := h.llc.SetIndex(victim.Addr)
 	way := h.llc.VictimWay(set)
-	if h.tracer != nil {
+	traced := h.tel.TracesDecisions()
+	if traced {
 		h.beginDecision(core, set, way, victim.Addr)
 	}
 	victims := 0
 	if old := h.llc.Line(set, way); old.Valid {
 		victims = h.evictLLCLine(old)
 	}
-	if h.tracer != nil {
+	if traced {
 		h.dec.InclusionVictims = victims
-		h.tracer.Decision(&h.dec)
+		h.tel.Decision(&h.dec)
 	}
 	h.llc.FillWay(set, way, victim.Addr, 0)
 	if victim.Dirty {
@@ -407,16 +405,17 @@ func (h *Hierarchy) insertLLCFromL2(core int, victim cache.Line) {
 func (h *Hierarchy) fillLLC(core int, la uint64, dirty bool) {
 	set := h.llc.SetIndex(la)
 	way := h.selectLLCVictim(set)
-	if h.tracer != nil {
+	traced := h.tel.TracesDecisions()
+	if traced {
 		h.beginDecision(core, set, way, la)
 	}
 	victims := 0
 	if old := h.llc.Line(set, way); old.Valid {
 		victims = h.evictLLCLine(old)
 	}
-	if h.tracer != nil {
+	if traced {
 		h.dec.InclusionVictims = victims
-		h.tracer.Decision(&h.dec)
+		h.tel.Decision(&h.dec)
 	}
 	h.llc.FillWay(set, way, la, 1<<uint(core))
 	if dirty {
@@ -429,9 +428,9 @@ func (h *Hierarchy) fillLLC(core int, la uint64, dirty bool) {
 
 // beginDecision snapshots one LLC victim choice into the reusable
 // scratch record — every candidate way pre-eviction, the chosen way,
-// and the way a read-only QBS emulation would suggest. Called only
-// under the tracer nil-guard; the fire itself happens after eviction so
-// the record can carry the inclusion-victim count.
+// and the way a read-only QBS emulation would suggest. Called only when
+// the recorder traces decisions; the record is handed over after
+// eviction so it can carry the inclusion-victim count.
 //
 //tlavet:hotpath
 func (h *Hierarchy) beginDecision(core, set, way int, la uint64) {
@@ -502,7 +501,8 @@ func (h *Hierarchy) qbsSuggestedWay(chosen int) int {
 // a core cache (per the configured probe set), promote it to MRU and
 // try the next candidate, up to the query limit. Candidates whose
 // directory presence mask is empty are evicted without spending a
-// query — the directory already proves no core holds them.
+// query — the directory already proves no core holds them. The
+// recorder observes each selection's query count.
 func (h *Hierarchy) selectLLCVictim(set int) int {
 	way := h.llc.VictimWay(set)
 	if h.cfg.TLA != TLAQBS {
@@ -512,20 +512,17 @@ func (h *Hierarchy) selectLLCVictim(set int) int {
 	if limit == 0 {
 		limit = h.cfg.LLCAssoc
 	}
-	for q := 0; q < limit; {
+	q := 0
+	for q < limit {
 		line := h.llc.Line(set, way)
 		presence := h.effectivePresence(line.Presence)
 		if !line.Valid || presence == 0 {
-			return way
+			break
 		}
 		h.Traffic.QBSQueries++
 		q++
-		resident := h.residentInCores(line.Addr, presence, h.cfg.QBSProbe)
-		if h.probe != nil {
-			h.probe.QBSQuery(line.Addr, q, resident)
-		}
-		if !resident {
-			return way
+		if !h.residentInCores(line.Addr, presence, h.cfg.QBSProbe) {
+			break
 		}
 		h.Traffic.QBSSaves++
 		h.llc.PromoteWay(set, way)
@@ -541,10 +538,11 @@ func (h *Hierarchy) selectLLCVictim(set int) int {
 			// Fixed point (possible under SRRIP when a whole set is
 			// near-immediate): promoting changed nothing, so further
 			// queries would repeat verbatim. Accept the candidate.
-			return way
+			break
 		}
 		way = next
 	}
+	h.tel.QBSSelection(q)
 	return way
 }
 
@@ -615,9 +613,6 @@ func (h *Hierarchy) backInvalidate(addr uint64, presence uint64) (dirty bool, vi
 		c := bits.TrailingZeros64(presence)
 		presence &^= 1 << uint(c)
 		h.Traffic.BackInvalidates++
-		if h.probe != nil {
-			h.probe.BackInvalidate(addr)
-		}
 		removed := false
 		if line, ok := h.l1i[c].Invalidate(addr); ok {
 			removed = true
@@ -635,9 +630,6 @@ func (h *Hierarchy) backInvalidate(addr uint64, presence uint64) (dirty bool, vi
 		if removed {
 			h.Cores[c].InclusionVictims++
 			victims++
-			if h.probe != nil {
-				h.probe.InclusionVictim(c, addr)
-			}
 		}
 	}
 	return dirty, victims
@@ -657,9 +649,7 @@ func (h *Hierarchy) earlyCoreInvalidate(set int, justFilled uint64) {
 		return
 	}
 	h.Traffic.ECISent++
-	if h.probe != nil {
-		h.probe.ECIInvalidate(line.Addr)
-	}
+	h.tel.ECIInvalidate(line.Addr)
 	h.Traffic.ECIInvalidated += uint64(h.invalidateInCores(line.Addr, presence))
 	h.llc.ClearPresence(line.Addr)
 }
@@ -717,9 +707,6 @@ func (h *Hierarchy) maybeHint(src CacheSet, la uint64) {
 		}
 	}
 	h.Traffic.TLHSent++
-	if h.probe != nil {
-		h.probe.TLHHint(la)
-	}
 	h.llc.Touch(la)
 }
 

@@ -3,8 +3,6 @@ package hierarchy
 import (
 	"strings"
 	"testing"
-
-	"tlacache/internal/telemetry"
 )
 
 // driveAudited runs a deterministic access stream against h, auditing
@@ -26,9 +24,9 @@ func driveAudited(h *Hierarchy, a *Auditor, accesses, every int) error {
 }
 
 // TestAuditorCleanAcrossPolicies runs the full audit (structural
-// invariants, cache consistency, monotonicity, conservation, probe
-// cross-check) throughout stressed runs of every policy and inclusion
-// mode: a correct hierarchy must never trip it.
+// invariants, cache consistency, monotonicity, conservation) throughout
+// stressed runs of every policy and inclusion mode: a correct hierarchy
+// must never trip it.
 func TestAuditorCleanAcrossPolicies(t *testing.T) {
 	cases := []struct {
 		name string
@@ -47,8 +45,6 @@ func TestAuditorCleanAcrossPolicies(t *testing.T) {
 			cfg.EnablePrefetch = true
 			tc.mut(&cfg)
 			h := MustNew(cfg)
-			rec := telemetry.NewRecorder()
-			h.SetProbe(rec)
 			a := NewAuditor(h)
 			if err := driveAudited(h, a, 20_000, 500); err != nil {
 				t.Fatal(err)
@@ -120,21 +116,4 @@ func TestAuditorDetectsConservationViolation(t *testing.T) {
 	a := NewAuditor(h)
 	h.Traffic.QBSSaves++
 	auditError(t, a.Audit(), "conservation violated")
-}
-
-// TestAuditorDetectsProbeDivergence fires a probe event the hierarchy
-// never generated, then checks the cross-check is skipped once the
-// recorder is detached (the windows no longer align).
-func TestAuditorDetectsProbeDivergence(t *testing.T) {
-	h := MustNew(smallConfig(2))
-	rec := telemetry.NewRecorder()
-	h.SetProbe(rec)
-	a := NewAuditor(h)
-	rec.TLHHint(0)
-	auditError(t, a.Audit(), "probe/traffic divergence")
-
-	h.SetProbe(nil)
-	if err := a.Audit(); err != nil {
-		t.Fatalf("audit with detached recorder should skip the cross-check, got %v", err)
-	}
 }

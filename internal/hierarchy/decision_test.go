@@ -15,6 +15,16 @@ func smallDecisionConfig() Config {
 	return cfg
 }
 
+// traceDecisions attaches a recorder that logs every LLC victim
+// decision h makes.
+func traceDecisions(h *Hierarchy) *telemetry.DecisionLog {
+	log := &telemetry.DecisionLog{}
+	rec := telemetry.NewRecorder(0)
+	rec.Decisions = log
+	h.SetTelemetry(rec)
+	return log
+}
+
 // driveDecisions streams n distinct-then-recycled load lines through
 // core 0.
 func driveDecisions(h *Hierarchy, n int) {
@@ -26,8 +36,7 @@ func driveDecisions(h *Hierarchy, n int) {
 func TestDecisionTracerRecords(t *testing.T) {
 	cfg := smallDecisionConfig()
 	h := MustNew(cfg)
-	log := &telemetry.DecisionLog{}
-	h.SetDecisionTracer(log)
+	log := traceDecisions(h)
 	driveDecisions(h, 8192)
 
 	if len(log.Records) == 0 {
@@ -103,7 +112,7 @@ func TestDecisionTracerDoesNotPerturb(t *testing.T) {
 		driveDecisions(plain, 8192)
 
 		traced := MustNew(cfg)
-		traced.SetDecisionTracer(&telemetry.DecisionLog{})
+		traceDecisions(traced)
 		driveDecisions(traced, 8192)
 
 		if plain.Cores[0] != traced.Cores[0] {
@@ -128,8 +137,7 @@ func TestDecisionTracerQBSAgreement(t *testing.T) {
 	cfg.TLA = TLAQBS
 	cfg.QBSProbe = AllCaches
 	h := MustNew(cfg)
-	log := &telemetry.DecisionLog{}
-	h.SetDecisionTracer(log)
+	log := traceDecisions(h)
 	for i := 0; i < 49152; i++ {
 		h.Access(0, Load, uint64(i%16384)*64)
 	}
@@ -169,8 +177,7 @@ func TestDecisionTracerExclusiveMode(t *testing.T) {
 	cfg := smallDecisionConfig()
 	cfg.Inclusion = Exclusive
 	h := MustNew(cfg)
-	log := &telemetry.DecisionLog{}
-	h.SetDecisionTracer(log)
+	log := traceDecisions(h)
 	// Cycle more lines than the L2 holds: exclusive-mode LLC fills only
 	// happen when the L2 evicts.
 	for i := 0; i < 32768; i++ {

@@ -46,8 +46,7 @@ func FuzzHierarchyAccess(f *testing.F) {
 		}
 		cfg.EnablePrefetch = mode&0x40 != 0
 		h := MustNew(cfg)
-		rec := telemetry.NewRecorder()
-		h.SetProbe(rec)
+		h.SetTelemetry(telemetry.NewRecorder(0))
 		a := NewAuditor(h)
 
 		for i := 0; i+4 <= len(data); i += 4 {

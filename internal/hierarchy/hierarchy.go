@@ -424,18 +424,13 @@ type Hierarchy struct {
 	//tlavet:resetexempt derived from cfg at construction, never varies
 	bankOccupancy uint64
 
-	// probe receives typed telemetry events when non-nil. Every fire
-	// site is on a miss or invalidation path and guarded by a single
-	// nil-interface branch, so the disabled (nil) cost is negligible.
-	probe telemetry.Probe
-
-	// tracer receives one record per LLC victim choice when non-nil,
-	// guarded like probe by a single nil-interface branch at each fire
-	// site (fillLLC, insertLLCFromL2). dec is the reusable scratch
-	// record; its Candidates buffer is preallocated by SetDecisionTracer
-	// so traced decisions allocate nothing on the hot path.
-	tracer telemetry.DecisionTracer
-	dec    telemetry.Decision
+	// tel is the run's telemetry recorder, nil when the run has none
+	// (every Recorder method is a no-op on nil). dec is the reusable
+	// decision record, filled only when tel traces decisions; New
+	// allocates its Candidates buffer so traced decisions allocate
+	// nothing on the hot path.
+	tel *telemetry.Recorder
+	dec telemetry.Decision
 
 	Cores   []CoreStats
 	Traffic Traffic
@@ -448,6 +443,7 @@ func New(cfg Config) (*Hierarchy, error) {
 		return nil, err
 	}
 	h := &Hierarchy{cfg: cfg, Cores: make([]CoreStats, cfg.Cores), tlhOn: cfg.TLA == TLATLH}
+	h.dec.Candidates = make([]telemetry.DecisionCandidate, cfg.LLCAssoc)
 	h.lastILine = make([]uint64, cfg.Cores)
 	h.clearIFetchMemos()
 	mk := func(name string, size int64, assoc int, pol replacement.Kind) (*cache.Cache, error) {
@@ -506,10 +502,10 @@ func New(cfg Config) (*Hierarchy, error) {
 // clocks, the decision-record scratch (its sequence number restarts at
 // zero, like a fresh hierarchy's), and all statistics.
 //
-// Observers (probe, decision tracer) are detached: they belong to one
-// run's measurement window, and a pooled hierarchy reused for a new
-// run must not report events to the previous run's instruments. The
-// simulator re-attaches its own observers at the warmup boundary.
+// The telemetry recorder is detached: it belongs to one run's
+// measurement window, and a pooled hierarchy reused for a new run must
+// not report events to the previous run's recorder. The simulator
+// re-attaches its own recorder at the warmup boundary.
 //
 // Reset-then-rerun must be indistinguishable from fresh-build-then-run;
 // the reset-equivalence regression tests pin that byte-for-byte; the
@@ -535,14 +531,11 @@ func (h *Hierarchy) Reset() {
 	for i := range h.bankFree {
 		h.bankFree[i] = 0
 	}
-	h.probe = nil
-	h.tracer = nil
-	// Keep the candidate scratch buffer (SetDecisionTracer would just
-	// reallocate it) but restart the record — Seq must count from zero
-	// again or a reused hierarchy's first trace record would expose the
-	// previous run's decision count.
-	cands := h.dec.Candidates
-	h.dec = telemetry.Decision{Candidates: cands}
+	h.tel = nil
+	// Keep the candidate scratch buffer but restart the record — Seq
+	// must count from zero again or a reused hierarchy's first trace
+	// record would expose the previous run's decision count.
+	h.dec = telemetry.Decision{Candidates: h.dec.Candidates}
 	for i := range h.Cores {
 		h.Cores[i] = CoreStats{}
 	}
@@ -561,21 +554,28 @@ func MustNew(cfg Config) *Hierarchy {
 // Config returns the hierarchy's configuration.
 func (h *Hierarchy) Config() Config { return h.cfg }
 
-// SetProbe attaches (or, with nil, detaches) a telemetry probe. The
-// simulator attaches it after the warmup counter reset so probes
-// observe exactly the measurement window.
-func (h *Hierarchy) SetProbe(p telemetry.Probe) { h.probe = p }
+// SetTelemetry attaches (or, with nil, detaches) the run's telemetry
+// recorder. The simulator attaches it after the warmup counter reset so
+// it observes exactly the measurement window.
+func (h *Hierarchy) SetTelemetry(r *telemetry.Recorder) { h.tel = r }
 
-// SetDecisionTracer attaches (or, with nil, detaches) an LLC
-// victim-decision tracer. Like SetProbe it is attached after the warmup
-// reset so traces cover exactly the measurement window. The candidate
-// scratch buffer is (re)allocated here, off the hot path, so traced
-// decisions reuse it without allocating.
-func (h *Hierarchy) SetDecisionTracer(t telemetry.DecisionTracer) {
-	h.tracer = t
-	if t != nil && cap(h.dec.Candidates) < h.cfg.LLCAssoc {
-		h.dec.Candidates = make([]telemetry.DecisionCandidate, h.cfg.LLCAssoc)
+// EventCounts returns the hierarchy's counts of the telemetry events it
+// counts itself — every kind but ECI rescues, which only a recorder
+// observes — for telemetry.Recorder.Finish.
+func (h *Hierarchy) EventCounts() telemetry.Counts {
+	t := &h.Traffic
+	c := telemetry.Counts{
+		telemetry.EvBackInvalidate: t.BackInvalidates,
+		telemetry.EvECIInvalidate:  t.ECISent,
+		telemetry.EvQBSQuery:       t.QBSQueries,
+		telemetry.EvQBSSave:        t.QBSSaves,
+		telemetry.EvTLHHint:        t.TLHSent,
 	}
+	for i := range h.Cores {
+		c[telemetry.EvInclusionVictim] += h.Cores[i].InclusionVictims
+		c[telemetry.EvL2InclusionVictim] += h.Cores[i].L2InclusionVictims
+	}
+	return c
 }
 
 // DecisionMeta describes the LLC geometry and policy for decision-trace

@@ -5,7 +5,6 @@ import (
 	"reflect"
 
 	"tlacache/internal/cache"
-	"tlacache/internal/telemetry"
 )
 
 // CheckInvariants verifies the structural properties the configured
@@ -93,22 +92,18 @@ func (h *Hierarchy) CheckInvariants() error {
 // Auditor performs deep periodic audits of a running hierarchy: the
 // structural invariants of CheckInvariants, per-cache self-consistency
 // (duplicate lines, set mapping, replacement metadata), counter
-// monotonicity between audits, conservation relations among the
-// traffic counters, and — when the attached probe is a
-// telemetry.Recorder — an exact cross-check of probe event counts
-// against the Traffic counters they mirror. It is the dynamic
-// counterpart of the cmd/tlavet static checks, wired to
-// sim.Config.AuditEvery and `tlasim -audit N`.
+// monotonicity between audits, and conservation relations among the
+// traffic counters. It is the dynamic counterpart of the cmd/tlavet
+// static checks, wired to sim.Config.AuditEvery and `tlasim -audit N`.
 //
 // Create the Auditor at the point the counters' measurement window
-// begins (sim does so right after the warmup reset and probe attach):
-// the baseline snapshot taken then is what conservation deltas are
-// measured against. An Auditor must not be shared between hierarchies.
+// begins (sim does so right after the warmup reset): the baseline
+// snapshot taken then is what conservation deltas are measured
+// against. An Auditor must not be shared between hierarchies.
 type Auditor struct {
 	h    *Hierarchy
-	rec  *telemetry.Recorder // non-nil when the probe is a Recorder
-	base auditSnapshot       // window start, for conservation deltas
-	prev auditSnapshot       // last audit, for monotonicity
+	base auditSnapshot // window start, for conservation deltas
+	prev auditSnapshot // last audit, for monotonicity
 
 	// Audits counts completed Audit calls.
 	Audits uint64
@@ -118,29 +113,21 @@ type Auditor struct {
 type auditSnapshot struct {
 	traffic Traffic
 	cores   []CoreStats
-	events  []uint64 // Recorder counts, indexed as telemetry.Events()
 }
 
 // NewAuditor captures h's current counters as the audit baseline.
 func NewAuditor(h *Hierarchy) *Auditor {
 	a := &Auditor{h: h}
-	a.rec, _ = h.probe.(*telemetry.Recorder)
 	a.base = a.snap()
 	a.prev = a.base
 	return a
 }
 
 func (a *Auditor) snap() auditSnapshot {
-	s := auditSnapshot{
+	return auditSnapshot{
 		traffic: a.h.Traffic,
 		cores:   append([]CoreStats(nil), a.h.Cores...),
 	}
-	if a.rec != nil {
-		for _, e := range telemetry.Events() {
-			s.events = append(s.events, a.rec.Count(e))
-		}
-	}
-	return s
 }
 
 // Audit runs every check and, on success, advances the monotonicity
@@ -158,9 +145,6 @@ func (a *Auditor) Audit() error {
 		return err
 	}
 	if err := a.checkConservation(cur); err != nil {
-		return err
-	}
-	if err := a.checkRecorder(cur); err != nil {
 		return err
 	}
 	a.prev = cur
@@ -185,8 +169,8 @@ func (a *Auditor) checkCaches() error {
 }
 
 // checkMonotone verifies no counter moved backwards since the last
-// audit: Traffic, per-core stats, and Recorder event counts are all
-// cumulative within a measurement window.
+// audit: Traffic and per-core stats are cumulative within a
+// measurement window.
 func (a *Auditor) checkMonotone(cur auditSnapshot) error {
 	if err := monotoneFields("Traffic", reflect.ValueOf(a.prev.traffic), reflect.ValueOf(cur.traffic)); err != nil {
 		return err
@@ -195,12 +179,6 @@ func (a *Auditor) checkMonotone(cur auditSnapshot) error {
 		name := fmt.Sprintf("Cores[%d]", i)
 		if err := monotoneFields(name, reflect.ValueOf(a.prev.cores[i]), reflect.ValueOf(cur.cores[i])); err != nil {
 			return err
-		}
-	}
-	for i, e := range telemetry.Events() {
-		if i < len(cur.events) && cur.events[i] < a.prev.events[i] {
-			return fmt.Errorf("audit: probe count %s went backwards: %d -> %d",
-				e, a.prev.events[i], cur.events[i])
 		}
 	}
 	return nil
@@ -255,52 +233,10 @@ func (a *Auditor) checkConservation(cur auditSnapshot) error {
 	return nil
 }
 
-// checkRecorder cross-checks probe event counts against the Traffic
-// counters incremented at the same fire sites. The check only runs
-// while the recorder the auditor was created with is still attached:
-// the two countings must cover the same window to be comparable.
-func (a *Auditor) checkRecorder(cur auditSnapshot) error {
-	if a.rec == nil || a.h.probe != telemetry.Probe(a.rec) {
-		return nil
-	}
-	t, base := cur.traffic, a.base.traffic
-	delta := func(e telemetry.Event) uint64 {
-		return cur.events[e] - a.base.events[e]
-	}
-	pairs := []struct {
-		name    string
-		traffic uint64
-		event   telemetry.Event
-	}{
-		{"back-invalidates", t.BackInvalidates - base.BackInvalidates, telemetry.EvBackInvalidate},
-		{"inclusion victims", sumInclusionVictims(cur.cores) - sumInclusionVictims(a.base.cores), telemetry.EvInclusionVictim},
-		{"L2 inclusion victims", sumL2InclusionVictims(cur.cores) - sumL2InclusionVictims(a.base.cores), telemetry.EvL2InclusionVictim},
-		{"ECI operations", t.ECISent - base.ECISent, telemetry.EvECIInvalidate},
-		{"TLH hints", t.TLHSent - base.TLHSent, telemetry.EvTLHHint},
-		{"QBS queries", t.QBSQueries - base.QBSQueries, telemetry.EvQBSQuery},
-		{"QBS saves", t.QBSSaves - base.QBSSaves, telemetry.EvQBSSave},
-	}
-	for _, p := range pairs {
-		if p.traffic != delta(p.event) {
-			return fmt.Errorf("audit: probe/traffic divergence: %s: traffic counted %d, probe observed %d",
-				p.name, p.traffic, delta(p.event))
-		}
-	}
-	return nil
-}
-
 func sumInclusionVictims(cores []CoreStats) uint64 {
 	var n uint64
 	for i := range cores {
 		n += cores[i].InclusionVictims
-	}
-	return n
-}
-
-func sumL2InclusionVictims(cores []CoreStats) uint64 {
-	var n uint64
-	for i := range cores {
-		n += cores[i].L2InclusionVictims
 	}
 	return n
 }

@@ -123,8 +123,7 @@ func TestVictimCacheUnderAuditor(t *testing.T) {
 	cfg := smallConfig(2)
 	cfg.VictimCacheEntries = 32 // the paper's §VI configuration
 	h := MustNew(cfg)
-	rec := telemetry.NewRecorder()
-	h.SetProbe(rec)
+	h.SetTelemetry(telemetry.NewRecorder(0))
 	a := NewAuditor(h)
 
 	// Cyclically walk more lines than the 64-line LLC holds. Each access

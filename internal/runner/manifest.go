@@ -93,7 +93,7 @@ func (c *Collector) add(s JobStat) {
 	c.jobs = append(c.jobs, s)
 }
 
-// AddTelemetry records one job's probe summary under the job's name,
+// AddTelemetry records one job's telemetry summary under the job's name,
 // for inclusion in the run manifest. Goroutine-safe; nil-safe.
 func (c *Collector) AddTelemetry(name string, s telemetry.Summary) {
 	if c == nil {
@@ -105,7 +105,7 @@ func (c *Collector) AddTelemetry(name string, s telemetry.Summary) {
 	c.summaries = append(c.summaries, s)
 }
 
-// Telemetry returns a copy of the recorded probe summaries, sorted by
+// Telemetry returns a copy of the recorded telemetry summaries, sorted by
 // name so the manifest is stable across completion orderings.
 func (c *Collector) Telemetry() []telemetry.Summary {
 	if c == nil {
@@ -164,7 +164,7 @@ type Manifest struct {
 	Jobs         []JobStat `json:"jobs"`
 	// Env records the machine and toolchain the run executed on.
 	Env EnvInfo `json:"environment"`
-	// Telemetry holds per-job probe summaries (event counts, QBS
+	// Telemetry holds per-job telemetry summaries (event counts, QBS
 	// query-depth and ECI rescue-distance histograms) when the run was
 	// instrumented; absent otherwise.
 	Telemetry []telemetry.Summary `json:"telemetry,omitempty"`

@@ -359,11 +359,10 @@ func TestCollectEnv(t *testing.T) {
 
 func TestCollectorTelemetrySummaries(t *testing.T) {
 	col := NewCollector()
-	rec := telemetry.NewRecorder()
-	rec.InclusionVictim(0, 0x40)
-	rec.InclusionVictim(1, 0x80)
+	rec := telemetry.NewRecorder(0)
+	rec.Finish(telemetry.Counts{telemetry.EvInclusionVictim: 2})
 	col.AddTelemetry("MIX_01/QBS", rec.Summary())
-	col.AddTelemetry("MIX_00/QBS", telemetry.NewRecorder().Summary())
+	col.AddTelemetry("MIX_00/QBS", telemetry.NewRecorder(0).Summary())
 
 	sums := col.Telemetry()
 	if len(sums) != 2 || sums[0].Name != "MIX_00/QBS" || sums[1].Name != "MIX_01/QBS" {

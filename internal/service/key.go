@@ -24,9 +24,9 @@ const KeyVersion = "v1"
 //
 // cfg must be the fully resolved sim.Config (policy already applied to
 // the hierarchy); apps is the resolved per-core benchmark list. The
-// observer fields of sim.Config (Probe, Sampler, DecisionTracer,
-// InvariantEvery, AuditEvery) are deliberately excluded: they never
-// change simulation results, only what is recorded about them.
+// observer fields of sim.Config (Telemetry, AuditEvery) are
+// deliberately excluded: they never change simulation results, only
+// what is recorded about them.
 // TestKeyCoversConfig pins the field sets so a new config field cannot
 // creep in unhashed.
 func Key(cfg sim.Config, apps []string, policy string, seed uint64) string {

@@ -66,17 +66,16 @@ func TestKeyCanonicalGolden(t *testing.T) {
 // to canonical and bump KeyVersion) or is an observer (document it in
 // the exclusion list below), then update the pinned count.
 func TestKeyCoversConfig(t *testing.T) {
-	// sim.Config exclusions: Probe, Sampler, DecisionTracer,
-	// InvariantEvery, AuditEvery — observers that cannot change
-	// results — and Epoch, the interleave burst length, which is
-	// result-invariant by construction (TestEpochInvariance pins
-	// Epoch=1 against the default byte-for-byte).
+	// sim.Config exclusions: Telemetry and AuditEvery — observers that
+	// cannot change results — and Epoch, the interleave burst length,
+	// which is result-invariant by construction (TestEpochInvariance
+	// pins Epoch=1 against the default byte-for-byte).
 	for _, tc := range []struct {
 		name   string
 		typ    reflect.Type
 		fields int
 	}{
-		{"sim.Config", reflect.TypeOf(sim.Config{}), 11},
+		{"sim.Config", reflect.TypeOf(sim.Config{}), 8},
 		{"hierarchy.Config", reflect.TypeOf(hierarchy.Config{}), 29},
 		{"hierarchy.Latencies", reflect.TypeOf(hierarchy.Latencies{}), 4},
 		{"cpu.Config", reflect.TypeOf(cpu.Config{}), 3},
@@ -145,10 +144,10 @@ func TestKeyIgnoresObservers(t *testing.T) {
 
 	c := base
 	c.AuditEvery = 1000
-	c.InvariantEvery = 500
-	c.DecisionTracer = &telemetry.DecisionLog{}
+	c.Telemetry = telemetry.NewRecorder(500)
+	c.Telemetry.Decisions = &telemetry.DecisionLog{}
 	if got := Key(c, apps, "baseline", 1); got != ref {
-		t.Errorf("audit/invariant/tracer observers changed the key: %s != %s", got, ref)
+		t.Errorf("audit/telemetry observers changed the key: %s != %s", got, ref)
 	}
 }
 

@@ -230,13 +230,9 @@ func Execute(spec JobSpec, sink func(telemetry.Sample)) (Manifest, error) {
 	if err != nil {
 		return Manifest{}, err
 	}
-	rec := telemetry.NewRecorder()
-	cfg.Probe = rec
-	if norm.Interval > 0 {
-		sampler := telemetry.NewSampler(norm.Interval)
-		sampler.Sink = sink
-		cfg.Sampler = sampler
-	}
+	rec := telemetry.NewRecorder(norm.Interval)
+	rec.Sink = sink
+	cfg.Telemetry = rec
 	mixName := norm.Mix
 	if mixName == "" {
 		mixName = "custom"

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"tlacache/internal/hierarchy"
 	"tlacache/internal/runner"
 	"tlacache/internal/telemetry"
 	"tlacache/internal/trace"
@@ -28,11 +27,6 @@ func (g *faultyGen) Next(in *trace.Instr) {
 	}
 	g.Generator.Next(in)
 }
-
-// panicProbe panics at the first event it observes — its embedded
-// Probe is nil — standing in for a failure on the run loop's side of
-// the pipeline.
-type panicProbe struct{ telemetry.Probe }
 
 // waitGoroutines polls until the goroutine count drops back to want: a
 // joined goroutine has signalled its exit but may not have been reaped.
@@ -97,12 +91,14 @@ func TestStreamPanicReachesCaller(t *testing.T) {
 	}
 	waitGoroutines(t, base)
 
-	// A panic on the run loop's side stops and joins the producer too.
-	probed := quickConfig(2, 20_000)
-	probed.Hierarchy.TLA = hierarchy.TLATLH // a hint on every L1 hit
-	probed.Probe = &panicProbe{}
-	if r := recoverRun(func() { RunMix(probed, workload.Mix{Name: "P", Apps: []string{"sje", "lib"}}) }); r == nil {
-		t.Fatal("panicking probe did not panic the run")
+	// A panic on the run loop's side stops and joins the producer too:
+	// the telemetry sink runs on the run loop at the first sample.
+	sampled := quickConfig(2, 20_000)
+	sampled.Telemetry = telemetry.NewRecorder(1_000)
+	sampled.Telemetry.Sink = func(telemetry.Sample) { panic("sink gave up") }
+	r := recoverRun(func() { RunMix(sampled, workload.Mix{Name: "P", Apps: []string{"sje", "lib"}}) })
+	if msg, _ := r.(string); msg != "sink gave up" {
+		t.Fatalf("run with a panicking sink: recovered %v, want the sink's panic", r)
 	}
 	waitGoroutines(t, base)
 

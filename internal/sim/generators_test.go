@@ -122,9 +122,11 @@ func TestRunIsolationPropagatesErrors(t *testing.T) {
 	}
 }
 
+// TestInvariantEveryRuns audits a healthy run every 1,000 instructions;
+// each audit checks the hierarchy's structural invariants first.
 func TestInvariantEveryRuns(t *testing.T) {
 	cfg := quickConfig(2, 20_000)
-	cfg.InvariantEvery = 1_000
+	cfg.AuditEvery = 1_000
 	mix := workload.Mix{Name: "inv", Apps: []string{"sje", "lib"}}
 	if _, err := RunMix(cfg, mix); err != nil {
 		t.Fatalf("invariants violated during a healthy run: %v", err)

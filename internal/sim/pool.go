@@ -97,13 +97,12 @@ func newMachine(key machineKey) (*machine, error) {
 
 // releaseMachine returns a machine to its free list. Only runs that
 // completed successfully release: a machine abandoned mid-run by an
-// invariant or audit failure holds the state that produced the failure,
-// and is deliberately left to the garbage collector so it cannot feed a
-// later run. Caller-owned observers are dropped first so the pool never
-// prolongs their lifetime.
+// audit failure holds the state that produced the failure, and is
+// deliberately left to the garbage collector so it cannot feed a later
+// run. The caller-owned recorder is dropped first so the pool never
+// prolongs its lifetime.
 func releaseMachine(m *machine) {
-	m.h.SetProbe(nil)
-	m.h.SetDecisionTracer(nil)
+	m.h.SetTelemetry(nil)
 	machinePool.Lock()
 	if s := machinePool.free[m.key]; len(s) < maxFree {
 		machinePool.free[m.key] = append(s, m)

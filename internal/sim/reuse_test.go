@@ -150,30 +150,28 @@ func TestPooledRunRepeatability(t *testing.T) {
 }
 
 // epochManifest runs one batch covering every boundary the burst-sizing
-// logic caps against — sampler intervals, invariant checks, audits, the
-// budget crossing, and a finished fast core running past its budget —
-// and returns everything observable: results, sampler series, and the
-// sampler's victim total.
+// logic caps against — sampling intervals, audits, the budget crossing,
+// and a finished fast core running past its budget — and returns
+// everything observable: results, the interval series, and the
+// telemetry summary.
 func epochManifest(t *testing.T, epoch uint64) []byte {
 	t.Helper()
 	cfg := quickConfig(2, 30_000)
 	cfg.Epoch = epoch
 	cfg.Hierarchy.TLA = hierarchy.TLAQBS
 	// Deliberately awkward divisors so boundaries land mid-epoch.
-	cfg.InvariantEvery = 7_001
 	cfg.AuditEvery = 9_973
-	sampler := telemetry.NewSampler(5_003)
-	cfg.Sampler = sampler
+	cfg.Telemetry = telemetry.NewRecorder(5_003)
 
 	res, err := RunMix(cfg, workload.Mix{Name: "EPOCH", Apps: []string{"sje", "lib"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := struct {
-		Res     MixResult
-		Samples []telemetry.Sample
-		Victims uint64
-	}{res, sampler.Samples(), sampler.TotalInclusionVictims()}
+		Res       MixResult
+		Samples   []telemetry.Sample
+		Telemetry telemetry.Summary
+	}{res, cfg.Telemetry.Samples(), cfg.Telemetry.Summary()}
 	data, err := json.MarshalIndent(out, "", " ")
 	if err != nil {
 		t.Fatal(err)

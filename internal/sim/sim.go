@@ -42,55 +42,29 @@ type Config struct {
 	//
 	//tlavet:keyexempt hashed via service.Key's explicit seed argument, which overrides this field
 	Seed uint64
-	// InvariantEvery, when positive, verifies the hierarchy's
-	// structural invariants (inclusion, exclusion, directory coverage)
-	// every InvariantEvery committed instructions and aborts the run on
-	// a violation. Meant for debugging and the test suite; it is too
-	// expensive for production sweeps.
-	//
-	//tlavet:keyexempt debug-only invariant checking; aborts on violation, never changes results
-	InvariantEvery uint64
 	// AuditEvery, when positive, runs a full hierarchy audit
 	// (hierarchy.Auditor: structural invariants, per-cache consistency,
-	// counter monotonicity and conservation, probe cross-checks) every
-	// AuditEvery committed instructions of the measurement window and
-	// aborts the run on a violation, reporting the seed that reproduces
-	// it. Stronger and costlier than InvariantEvery; exposed as
-	// `tlasim -audit N`.
+	// counter monotonicity and conservation) every AuditEvery committed
+	// instructions of the measurement window and aborts the run on a
+	// violation, reporting the seed that reproduces it. Meant for
+	// debugging and the test suite; exposed as `tlasim -audit N`.
 	//
 	//tlavet:keyexempt debug-only audit mode; aborts on violation, never changes results
 	AuditEvery uint64
-	// Probe, when non-nil, receives typed telemetry events (inclusion
-	// victims, back-invalidations, ECI, QBS, TLH) from the hierarchy.
-	// It is attached after the warmup counter reset, so it observes the
-	// measurement window — including, like Traffic, the post-budget
-	// execution of fast cores. A probe must not be shared between
-	// concurrent runs.
-	//
-	//tlavet:keyexempt pure observer; never changes simulation results
-	Probe telemetry.Probe
-	// DecisionTracer, when non-nil, receives one record per LLC victim
-	// choice (candidate ways with per-policy ranks, the chosen way, the
-	// QBS-suggested alternative, and the eviction's inclusion-victim
-	// count). Attached after the warmup counter reset like Probe, so
-	// traces cover exactly the measurement window. Like the other
-	// observer fields it never changes simulation results — the service
-	// cache key excludes it — and must not be shared between concurrent
-	// runs.
-	//
-	//tlavet:keyexempt pure observer; never changes simulation results
-	DecisionTracer telemetry.DecisionTracer
-	// Sampler, when non-nil, captures a per-core interval time series:
-	// every Sampler.Every() instructions a core commits inside its
-	// measurement window, the core's interval IPC, LLC MPKI,
-	// inclusion-victim delta, and the LLC occupancy are snapshotted. A
-	// final partial interval is flushed when the core reaches its
+	// Telemetry, when non-nil, observes the measurement window: it is
+	// attached after the warmup counter reset, so — like Traffic — it
+	// covers the post-budget execution of fast cores, and receives the
+	// hierarchy's event counts when the run ends. When it samples
+	// (Telemetry.Every() > 0), every Every() instructions a core commits
+	// inside its window the core's interval IPC, LLC MPKI,
+	// inclusion-victim delta and the LLC occupancy are snapshotted, and
+	// a final partial interval is flushed when the core reaches its
 	// budget, so the inclusion-victim column sums exactly to the run's
-	// aggregate InclusionVictims. A sampler must not be shared between
+	// aggregate InclusionVictims. A recorder must not be shared between
 	// concurrent runs.
 	//
 	//tlavet:keyexempt pure observer; never changes simulation results
-	Sampler *telemetry.Sampler
+	Telemetry *telemetry.Recorder
 	// Epoch, when positive, overrides the interleave burst length: the
 	// scheduled core executes up to Epoch instructions before the loop
 	// returns to its per-burst bookkeeping (statistics boundaries,
@@ -133,9 +107,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Instructions == 0 {
 		return fmt.Errorf("sim: zero instruction budget")
-	}
-	if c.Sampler != nil && c.Sampler.Every() == 0 {
-		return fmt.Errorf("sim: zero sampler interval")
 	}
 	return nil
 }
@@ -305,13 +276,14 @@ func runMachine(cfg Config, m *machine, streams []trace.Generator) error {
 	}
 
 	// Telemetry attaches after the warmup reset (see below), so during
-	// warmup both stay disabled. llcLines scales occupancy samples.
-	var sampler *telemetry.Sampler
+	// warmup it stays disabled and every (the sampling interval) zero.
+	// llcLines scales occupancy samples.
+	var every uint64
 	llcLines := cfg.Hierarchy.LLCSize / cfg.Hierarchy.LineSize
 	sample := func(c int) {
 		cs := &h.Cores[c]
 		occ := float64(h.LLC().CountValid()) / float64(llcLines)
-		sampler.Observe(c, committed[c], cores[c].Cycle(), cs.LLC.Misses, cs.InclusionVictims, occ)
+		cfg.Telemetry.Observe(c, committed[c], cores[c].Cycle(), cs.LLC.Misses, cs.InclusionVictims, occ)
 	}
 
 	// run interleaves the cores — always advancing the one whose clock
@@ -330,35 +302,30 @@ func runMachine(cfg Config, m *machine, streams []trace.Generator) error {
 			c, runner := nextCore(clocks)
 			// Epoch-batched execution: core c bursts up to `epoch`
 			// instructions with only the cycle comparison inside the
-			// tight loop; the sampler/invariant/audit/budget modulo
-			// checks move to the burst boundary. Exactness argument:
-			// each boundary check fires on an exact instruction count,
-			// so the burst is capped at the distance to every upcoming
-			// boundary — a boundary can then only land exactly on a
-			// burst end, where the post-burst checks below observe it
-			// under the same conditions, in the same order
-			// (sample → invariant → audit → budget), the per-instruction
-			// loop checked them. A burst that breaks early on the cycle
-			// condition stops short of every boundary, so the post-burst
-			// modulo checks correctly stay silent; the instruction-level
-			// schedule itself is unchanged because the break condition
-			// holds exactly when a per-instruction pick would choose
-			// another core. Every cap is a distance to a boundary
-			// strictly ahead, so b >= 1 and the loop always progresses.
+			// tight loop; the sample/audit/budget modulo checks move
+			// to the burst boundary. Exactness argument: each boundary
+			// check fires on an exact instruction count, so the burst
+			// is capped at the distance to every upcoming boundary — a
+			// boundary can then only land exactly on a burst end, where
+			// the post-burst checks below observe it under the same
+			// conditions, in the same order (sample → audit → budget),
+			// the per-instruction loop checked them. A burst that
+			// breaks early on the cycle condition stops short of every
+			// boundary, so the post-burst modulo checks correctly stay
+			// silent; the instruction-level schedule itself is
+			// unchanged because the break condition holds exactly when
+			// a per-instruction pick would choose another core. Every
+			// cap is a distance to a boundary strictly ahead, so b >= 1
+			// and the loop always progresses.
 			b := epoch
 			if !finished[c] {
 				if d := budget - committed[c]; d < b {
 					b = d
 				}
-				if sampler != nil {
-					if d := sampler.Every() - committed[c]%sampler.Every(); d < b {
+				if every > 0 {
+					if d := every - committed[c]%every; d < b {
 						b = d
 					}
-				}
-			}
-			if cfg.InvariantEvery > 0 {
-				if d := cfg.InvariantEvery - total%cfg.InvariantEvery; d < b {
-					b = d
 				}
 			}
 			if auditor != nil {
@@ -395,13 +362,8 @@ func runMachine(cfg Config, m *machine, streams []trace.Generator) error {
 				}
 			}
 			cf.pos = pos
-			if sampler != nil && !finished[c] && committed[c]%sampler.Every() == 0 {
+			if every > 0 && !finished[c] && committed[c]%every == 0 {
 				sample(c)
-			}
-			if cfg.InvariantEvery > 0 && total%cfg.InvariantEvery == 0 {
-				if err := h.CheckInvariants(); err != nil {
-					return fmt.Errorf("sim: after %d instructions: %w", total, err)
-				}
 			}
 			if auditor != nil && total%cfg.AuditEvery == 0 {
 				if err := auditor.Audit(); err != nil {
@@ -440,24 +402,27 @@ func runMachine(cfg Config, m *machine, streams []trace.Generator) error {
 			committed[i], finished[i], clocks[i] = 0, false, 0
 		}
 	}
-	h.SetProbe(cfg.Probe)
-	h.SetDecisionTracer(cfg.DecisionTracer)
-	sampler = cfg.Sampler
+	h.SetTelemetry(cfg.Telemetry)
+	every = cfg.Telemetry.Every()
 	if cfg.AuditEvery > 0 {
 		// The auditor baselines here — right where the counters'
-		// measurement window starts — so its conservation deltas and
-		// probe cross-checks cover exactly the measured traffic.
+		// measurement window starts — so its conservation deltas cover
+		// exactly the measured traffic.
 		auditor = hierarchy.NewAuditor(h)
 	}
-	return run(cfg.Instructions, func(c int) {
-		if sampler != nil {
+	if err := run(cfg.Instructions, func(c int) {
+		if every > 0 {
 			// Flush the final (possibly partial) interval exactly at the
 			// budget crossing; Observe ignores it when the budget landed
 			// on an interval boundary.
 			sample(c)
 		}
 		m.apps[c] = snapshot(feed.names[c], cores[c], &h.Cores[c], cfg.Instructions)
-	})
+	}); err != nil {
+		return err
+	}
+	cfg.Telemetry.Finish(h.EventCounts())
+	return nil
 }
 
 // maxClock bounds the core clocks the interleave can order: a core's

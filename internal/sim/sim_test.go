@@ -40,13 +40,6 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("bad cpu accepted")
 	}
-	// A Sampler not built by NewSampler has interval 0, which the run
-	// loop divides by.
-	bad = cfg
-	bad.Sampler = &telemetry.Sampler{}
-	if err := bad.Validate(); err == nil {
-		t.Error("zero sampler interval accepted")
-	}
 }
 
 func TestRunMixRejectsWrongArity(t *testing.T) {
@@ -207,16 +200,20 @@ func TestSamplerVictimColumnSumsToAggregate(t *testing.T) {
 	for _, every := range []uint64{10_000, 17_000, 300_000} {
 		cfg := quickConfig(2, 100_000)
 		cfg.Warmup = 400_000
-		cfg.Sampler = telemetry.NewSampler(every)
+		cfg.Telemetry = telemetry.NewRecorder(every)
 		res, err := RunMix(cfg, mix)
 		if err != nil {
 			t.Fatal(err)
 		}
-		samples := cfg.Sampler.Samples()
+		samples := cfg.Telemetry.Samples()
 		if len(samples) == 0 {
 			t.Fatalf("every=%d: no samples", every)
 		}
-		if got := cfg.Sampler.TotalInclusionVictims(); got != res.InclusionVictims {
+		var got uint64
+		for _, s := range samples {
+			got += s.InclusionVictims
+		}
+		if got != res.InclusionVictims {
 			t.Errorf("every=%d: sample victims sum to %d, aggregate is %d",
 				every, got, res.InclusionVictims)
 		}
@@ -240,34 +237,46 @@ func TestSamplerVictimColumnSumsToAggregate(t *testing.T) {
 	}
 }
 
-// TestProbeObservesMeasurementWindow attaches a recorder and checks it
-// agrees with the run's Traffic counters (both cover the measurement
-// window including post-budget execution) and stays silent during
-// warmup-only activity.
+// TestProbeObservesMeasurementWindow attaches a recorder and checks its
+// summary counts equal the run's Traffic counters: both cover the
+// measurement window including post-budget execution, and neither the
+// long warmup's events nor a missing end-of-run Finish may show.
 func TestProbeObservesMeasurementWindow(t *testing.T) {
-	cfg := quickConfig(2, 60_000)
-	cfg.Warmup = 400_000
-	cfg.Hierarchy.TLA = hierarchy.TLAQBS
-	rec := telemetry.NewRecorder()
-	cfg.Probe = rec
-	res, err := RunMix(cfg, workload.Mix{Name: "Q", Apps: []string{"sje", "lib"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := rec.Count(telemetry.EvQBSQuery), res.Traffic.QBSQueries; got != want {
-		t.Errorf("QBS query events = %d, traffic counter = %d", got, want)
-	}
-	if got, want := rec.Count(telemetry.EvQBSSave), res.Traffic.QBSSaves; got != want {
-		t.Errorf("QBS save events = %d, traffic counter = %d", got, want)
-	}
-	if got, want := rec.Count(telemetry.EvBackInvalidate), res.Traffic.BackInvalidates; got != want {
-		t.Errorf("back-invalidate events = %d, traffic counter = %d", got, want)
+	for _, tla := range []hierarchy.TLAPolicy{hierarchy.TLAQBS, hierarchy.TLAECI, hierarchy.TLATLH} {
+		cfg := quickConfig(2, 60_000)
+		cfg.Warmup = 400_000
+		cfg.Hierarchy.LLCSize = 256 << 10 // small enough to evict in both windows
+		cfg.Hierarchy.TLA = tla
+		cfg.Telemetry = telemetry.NewRecorder(0)
+		res, err := RunMix(cfg, workload.Mix{Name: "Q", Apps: []string{"sje", "lib"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := res.Traffic
+		want := map[string]uint64{
+			"back_invalidate": tr.BackInvalidates, "eci_invalidate": tr.ECISent,
+			"qbs_query": tr.QBSQueries, "qbs_save": tr.QBSSaves, "tlh_hint": tr.TLHSent,
+		}
+		sum := cfg.Telemetry.Summary()
+		for name, n := range want {
+			if sum.Events[name] != n {
+				t.Errorf("%v: %s = %d, traffic counter = %d", tla, name, sum.Events[name], n)
+			}
+		}
+		// The recorder's own QBS observations cover the same window.
+		if d := sum.QBSQueryDepth; (d == nil) != (tr.QBSQueries == 0) || d != nil && d.Sum != tr.QBSQueries {
+			t.Errorf("%v: QBS depth histogram %+v, want sum = %d queries", tla, d, tr.QBSQueries)
+		}
+		if tr.BackInvalidates == 0 || tr.ECISent+tr.QBSQueries+tr.TLHSent == 0 {
+			t.Errorf("%v: window produced no TLA traffic: %+v", tla, tr)
+		}
 	}
 }
 
 // TestTelemetryDoesNotPerturbResults is determinism across
-// instrumentation: attaching a probe and sampler must not change a
-// single statistic of the simulated machine.
+// instrumentation: attaching a recorder that samples and traces
+// decisions must not change a single statistic of the simulated
+// machine.
 func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 	cfg := quickConfig(2, 50_000)
 	mix := workload.Mix{Name: "D", Apps: []string{"sje", "lib"}}
@@ -275,8 +284,8 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Probe = telemetry.NewRecorder()
-	cfg.Sampler = telemetry.NewSampler(5_000)
+	cfg.Telemetry = telemetry.NewRecorder(5_000)
+	cfg.Telemetry.Decisions = &telemetry.DecisionLog{}
 	instrumented, err := RunMix(cfg, mix)
 	if err != nil {
 		t.Fatal(err)

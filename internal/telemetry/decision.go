@@ -9,13 +9,14 @@ import (
 	"io"
 )
 
-// This file is the decision-level half of the telemetry layer: where the
-// Probe interface reports *that* temporal-locality events happened, the
-// DecisionTracer reports *why* — the full candidate set the LLC weighed
-// at each victim choice, the way it picked, and what the eviction cost
-// (inclusion victims). The offline analyzer (cmd/tlatrace) replays these
-// records to score a policy's decisions and to ask counterfactuals such
-// as "what would QBS have evicted here instead?".
+// This file is the decision-level half of the telemetry layer: where a
+// Recorder's summary reports *that* temporal-locality events happened,
+// a DecisionTracer reports *why* — the full candidate set the LLC
+// weighed at each victim choice, the way it picked, and what the
+// eviction cost (inclusion victims). The offline analyzer
+// (cmd/tlatrace) replays these records to score a policy's decisions
+// and to ask counterfactuals such as "what would QBS have evicted here
+// instead?".
 
 // RankUnknown is the candidate rank recorded when the cache's
 // replacement policy does not expose a per-way eviction-preference rank
@@ -57,12 +58,13 @@ type Decision struct {
 	Candidates       []DecisionCandidate `json:"candidates"`
 }
 
-// DecisionTracer receives one record per LLC victim choice. Like Probe,
-// implementations are called synchronously from the single simulation
-// goroutine of one run; a tracer must not be shared between concurrent
-// runs. The pointed-to Decision and its Candidates slice are scratch
-// storage the hierarchy reuses across calls — implementations that
-// retain records must deep-copy them.
+// DecisionTracer receives one record per LLC victim choice through a
+// Recorder's Decisions field. Like the recorder, implementations are
+// called synchronously from the single simulation goroutine of one run;
+// a tracer must not be shared between concurrent runs. The pointed-to
+// Decision and its Candidates slice are scratch storage the hierarchy
+// reuses across calls — implementations that retain records must
+// deep-copy them.
 type DecisionTracer interface {
 	//tlavet:hotpath
 	Decision(d *Decision)

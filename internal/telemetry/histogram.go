@@ -11,7 +11,7 @@ const histBuckets = 65
 
 // Histogram is a fixed-cost exponential-bucket histogram for
 // non-negative integer observations. The zero value is ready to use; it
-// is not goroutine-safe (probes run on the single simulation
+// is not goroutine-safe (recorders run on the single simulation
 // goroutine).
 type Histogram struct {
 	count, sum uint64

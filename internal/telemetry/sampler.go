@@ -36,49 +36,29 @@ type samplerCursor struct {
 	instr, cycles, misses, victims uint64
 }
 
-// Sampler collects per-core interval snapshots. The simulator calls
-// Observe with cumulative counters every Every() instructions a core
-// commits (and once more when the core's measurement window freezes);
-// the sampler turns them into delta-based Samples. Not goroutine-safe:
-// one sampler belongs to one run.
-type Sampler struct {
-	every   uint64
-	samples []Sample
-	cursors []samplerCursor
-
-	// Sink, when non-nil, receives each Sample synchronously from the
-	// simulation goroutine the moment it is observed, before the run
-	// finishes — the live-streaming hook the tlacached daemon forwards
-	// to event subscribers. A sink must not block: it runs on the
-	// simulation's critical path, so forwarders should hand off to a
-	// buffered channel and drop on overflow. Set it before the run
-	// starts; the sampler never calls it concurrently with itself.
-	Sink func(Sample)
-}
-
-// NewSampler returns a sampler snapshotting every `every` committed
-// instructions per core. It returns nil for a zero interval, and a nil
-// sampler is never fed by the simulator, so callers may pass the flag
-// value straight through.
-func NewSampler(every uint64) *Sampler {
-	if every == 0 {
-		return nil
+// Every returns the per-core sampling interval in instructions, zero
+// when the recorder does not sample.
+func (r *Recorder) Every() uint64 {
+	if r == nil {
+		return 0
 	}
-	return &Sampler{every: every}
+	return r.every
 }
-
-// Every returns the per-core sampling interval in instructions.
-func (s *Sampler) Every() uint64 { return s.every }
 
 // Observe records one snapshot of a core's cumulative measurement
-// counters. A repeated call with an unchanged instruction count (the
-// final flush landing on an interval boundary) is ignored, so callers
-// need not deduplicate.
-func (s *Sampler) Observe(core int, instr, cycles, llcMisses, victims uint64, occupancy float64) {
-	for len(s.cursors) <= core {
-		s.cursors = append(s.cursors, samplerCursor{})
+// counters. The simulator calls it every Every() instructions a core
+// commits, and once more when the core's measurement window freezes;
+// a repeated call with an unchanged instruction count (the final flush
+// landing on an interval boundary) is ignored, so callers need not
+// deduplicate.
+func (r *Recorder) Observe(core int, instr, cycles, llcMisses, victims uint64, occupancy float64) {
+	if r == nil {
+		return
 	}
-	cur := &s.cursors[core]
+	for len(r.cursors) <= core {
+		r.cursors = append(r.cursors, samplerCursor{})
+	}
+	cur := &r.cursors[core]
 	if instr == cur.instr {
 		return
 	}
@@ -100,30 +80,20 @@ func (s *Sampler) Observe(core int, instr, cycles, llcMisses, victims uint64, oc
 	}
 	sm.LLCMPKI = float64(dM) * 1000 / float64(dI)
 	sm.VictimsPerMinst = float64(dV) * 1e6 / float64(dI)
-	s.samples = append(s.samples, sm)
+	r.samples = append(r.samples, sm)
 	*cur = samplerCursor{interval: cur.interval + 1, instr: instr, cycles: cycles, misses: llcMisses, victims: victims}
-	if s.Sink != nil {
-		s.Sink(sm)
+	if r.Sink != nil {
+		r.Sink(sm)
 	}
 }
 
 // Samples returns the collected samples in observation order (global
 // simulated-time order, cores interleaved).
-func (s *Sampler) Samples() []Sample {
-	if s == nil {
+func (r *Recorder) Samples() []Sample {
+	if r == nil {
 		return nil
 	}
-	return s.samples
-}
-
-// TotalInclusionVictims sums the inclusion-victim deltas over every
-// sample — by construction the run's aggregate windowed count.
-func (s *Sampler) TotalInclusionVictims() uint64 {
-	var sum uint64
-	for _, sm := range s.Samples() {
-		sum += sm.InclusionVictims
-	}
-	return sum
+	return r.samples
 }
 
 // csvHeader matches the field order WriteCSV emits.
@@ -133,11 +103,14 @@ const csvHeader = "interval,core,instructions,delta_instructions,delta_cycles,ip
 // replay artifacts compared across runs, so this is a detflow sink.
 //
 //tlavet:detsink
-func (s *Sampler) WriteCSV(w io.Writer) error {
+func (r *Recorder) WriteCSV(w io.Writer) error {
+	if r == nil {
+		return nil
+	}
 	if _, err := fmt.Fprintln(w, csvHeader); err != nil {
 		return err
 	}
-	for _, sm := range s.Samples() {
+	for _, sm := range r.samples {
 		if _, err := fmt.Fprintf(w, "%d,%d,%d,%d,%d,%.4f,%.4f,%d,%.2f,%.4f\n",
 			sm.Interval, sm.Core, sm.Instructions, sm.DeltaInstructions, sm.DeltaCycles,
 			sm.IPC, sm.LLCMPKI, sm.InclusionVictims, sm.VictimsPerMinst, sm.LLCOccupancy); err != nil {
@@ -151,9 +124,9 @@ func (s *Sampler) WriteCSV(w io.Writer) error {
 // Like WriteCSV, the output must be byte-identical across replays.
 //
 //tlavet:detsink
-func (s *Sampler) WriteJSONL(w io.Writer) error {
+func (r *Recorder) WriteJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
-	for _, sm := range s.Samples() {
+	for _, sm := range r.Samples() {
 		if err := enc.Encode(sm); err != nil {
 			return err
 		}
@@ -164,7 +137,10 @@ func (s *Sampler) WriteJSONL(w io.Writer) error {
 // WritePair writes prefix.csv and prefix.jsonl (creating parent
 // directories), the time-series artifacts that land next to a run's
 // experiment CSVs.
-func (s *Sampler) WritePair(prefix string) error {
+func (r *Recorder) WritePair(prefix string) error {
+	if r == nil {
+		return nil
+	}
 	if dir := filepath.Dir(prefix); dir != "." {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return err
@@ -176,8 +152,8 @@ func (s *Sampler) WritePair(prefix string) error {
 		ext   string
 		write func(io.Writer) error
 	}{
-		{".csv", s.WriteCSV},
-		{".jsonl", s.WriteJSONL},
+		{".csv", r.WriteCSV},
+		{".jsonl", r.WriteJSONL},
 	}
 	for _, p := range pairs {
 		f, err := os.Create(prefix + p.ext)

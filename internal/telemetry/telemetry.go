@@ -1,16 +1,19 @@
 // Package telemetry is the simulator's low-overhead instrumentation
-// layer: typed event probes fired by internal/hierarchy at the
-// temporal-locality moments the paper's evaluation revolves around
+// layer. One Recorder observes one run: it summarises the
+// temporal-locality events the paper's evaluation revolves around
 // (inclusion victims, back-invalidations, ECI early-invalidates and
-// rescue hits, QBS queries), counter and histogram primitives that
-// summarise those events for run manifests, an interval sampler that
-// turns a run into per-core time series (internal/sim feeds it), and a
-// live pprof/expvar debug endpoint for profiling long parallel sweeps.
+// rescue hits, QBS queries) for run manifests, turns the run into
+// per-core interval time series (internal/sim feeds it), and forwards
+// LLC victim decisions to an optional DecisionTracer. A live
+// pprof/expvar debug endpoint profiles long parallel sweeps.
 //
-// The layer is strictly opt-in: a hierarchy with no probe attached pays
-// one nil-interface branch per already-rare event site (all sites are
-// on miss or invalidation paths, never on the L1 hit path), and a sim
-// with no sampler pays one nil check per committed instruction.
+// Most event counts are the hierarchy's own counters, copied in once
+// when the run ends (Finish); the recorder itself observes only what
+// no counter holds: ECI rescue distances and QBS query depths. The
+// layer is strictly opt-in: a nil *Recorder is a valid, disabled
+// recorder whose every method does nothing, so a run without telemetry
+// pays one nil branch per already-rare call site (all on miss or
+// invalidation paths, never on the L1 hit path).
 package telemetry
 
 import (
@@ -22,65 +25,22 @@ import (
 	"time"
 )
 
-// Probe receives typed events from the cache hierarchy. Implementations
-// are called synchronously from the single simulation goroutine of one
-// run and therefore need no locking of their own, but two concurrent
-// runs must not share one Probe.
-//
-// addr arguments are line-aligned physical addresses; core arguments
-// index hierarchy cores.
-type Probe interface {
-	// InclusionVictim fires when an LLC back-invalidation removes at
-	// least one valid line from core's caches — the harmful event the
-	// paper studies.
-	InclusionVictim(core int, addr uint64)
-	// L2InclusionVictim fires when an inclusive private L2's eviction
-	// removes a valid line from its core's L1s (footnote 3 designs).
-	L2InclusionVictim(core int, addr uint64)
-	// BackInvalidate fires once per back-invalidate message the LLC
-	// sends (directory-filtered, so one per targeted core).
-	BackInvalidate(addr uint64)
-	// ECIInvalidate fires when ECI early-invalidates the next LLC
-	// victim from the core caches while retaining it in the LLC.
-	ECIInvalidate(addr uint64)
-	// ECIRescue fires when a demand access hits an LLC line that ECI
-	// had early-invalidated — the prompt re-reference ECI bets on.
-	ECIRescue(addr uint64)
-	// QBSQuery fires once per QBS victim query. depth is the 1-based
-	// position in the query chain for this eviction; saved reports
-	// whether the query found the candidate resident (promoted).
-	QBSQuery(addr uint64, depth int, saved bool)
-	// TLHHint fires when a core-cache hit delivers a temporal locality
-	// hint to the LLC.
-	TLHHint(addr uint64)
-}
-
-// Event names one probe event kind, used as the key of count summaries.
+// Event names one telemetry event kind, used as the key of count
+// summaries.
 type Event uint8
 
-// The probe event kinds, in Probe method order.
+// The event kinds.
 const (
-	EvInclusionVictim Event = iota
-	EvL2InclusionVictim
-	EvBackInvalidate
-	EvECIInvalidate
-	EvECIRescue
-	EvQBSQuery
-	EvQBSSave
-	EvTLHHint
+	EvInclusionVictim   Event = iota // an LLC back-invalidation removed a core's valid line
+	EvL2InclusionVictim              // an inclusive private L2's eviction removed a valid L1 line
+	EvBackInvalidate                 // one back-invalidate message (directory-filtered)
+	EvECIInvalidate                  // ECI early-invalidated the next LLC victim from the cores
+	EvECIRescue                      // a demand hit on a line ECI had early-invalidated
+	EvQBSQuery                       // one QBS victim query
+	EvQBSSave                        // a QBS query that found the candidate resident
+	EvTLHHint                        // a core-cache hit delivered a temporal locality hint
 	numEvents
 )
-
-// Events lists every probe event kind in declaration order, for code
-// that snapshots or iterates Recorder counters (e.g. the audit mode's
-// counter cross-check).
-func Events() []Event {
-	evs := make([]Event, numEvents)
-	for i := range evs {
-		evs[i] = Event(i)
-	}
-	return evs
-}
 
 // String names the event as it appears in summaries and manifests.
 func (e Event) String() string {
@@ -106,53 +66,61 @@ func (e Event) String() string {
 	}
 }
 
+// Counts holds one count per event kind, indexed by Event.
+type Counts [numEvents]uint64
+
 // maxPendingRescues bounds the Recorder's map of ECI'd lines awaiting a
 // rescue hit so a run that early-invalidates millions of distinct
 // never-rescued lines cannot grow memory without limit.
 const maxPendingRescues = 1 << 16
 
-// Recorder is the standard Probe: per-event counters, a histogram of
-// QBS query-chain depths (one observation per completed victim
-// selection), and a histogram of ECI rescue distances (the number of
-// ECI early-invalidations that happened between a line's invalidation
-// and its rescuing LLC hit — a proxy for how promptly the paper's
-// "prompt re-reference" arrives).
+// Recorder is one run's telemetry: the event counts, a histogram of
+// QBS query-chain depths (one observation per victim selection that
+// queried), a histogram of ECI rescue distances (the number of ECI
+// early-invalidations between a line's invalidation and its rescuing
+// LLC hit — a proxy for how promptly the paper's "prompt re-reference"
+// arrives), the interval samples, and the decision hook.
+//
+// Build one with NewRecorder and set Decisions and Sink before the run
+// starts. The simulator calls a recorder synchronously from the single
+// simulation goroutine of one run, so it needs no locking, but two
+// concurrent runs must not share one.
 type Recorder struct {
-	counts   [numEvents]uint64
+	// Decisions, when non-nil, receives one record per LLC victim
+	// choice (see DecisionTracer).
+	Decisions DecisionTracer
+	// Sink, when non-nil, receives each Sample synchronously from the
+	// simulation goroutine the moment it is observed, before the run
+	// finishes — the live-streaming hook the tlacached daemon forwards
+	// to event subscribers. A sink must not block: it runs on the
+	// simulation's critical path, so forwarders should hand off to a
+	// buffered channel and drop on overflow.
+	Sink func(Sample)
+
+	counts   Counts
 	qbsDepth Histogram
 	rescue   Histogram
 
 	eciSeq  uint64            // ECI invalidations seen so far
 	pending map[uint64]uint64 // ECI'd line -> eciSeq at invalidation
 
-	openChain int // depth of a QBS query chain that ended on a save
+	every   uint64
+	samples []Sample
+	cursors []samplerCursor
 }
 
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{pending: make(map[uint64]uint64)}
+// NewRecorder returns an empty recorder that samples every `every`
+// committed instructions per core, or never for a zero interval.
+func NewRecorder(every uint64) *Recorder {
+	return &Recorder{every: every, pending: make(map[uint64]uint64)}
 }
 
-func (r *Recorder) count(e Event) {
-	r.counts[e]++
-	probeEvents.Add(1)
-}
-
-// Count returns how many times event e fired.
-func (r *Recorder) Count(e Event) uint64 { return r.counts[e] }
-
-// InclusionVictim implements Probe.
-func (r *Recorder) InclusionVictim(core int, addr uint64) { r.count(EvInclusionVictim) }
-
-// L2InclusionVictim implements Probe.
-func (r *Recorder) L2InclusionVictim(core int, addr uint64) { r.count(EvL2InclusionVictim) }
-
-// BackInvalidate implements Probe.
-func (r *Recorder) BackInvalidate(addr uint64) { r.count(EvBackInvalidate) }
-
-// ECIInvalidate implements Probe.
+// ECIInvalidate records ECI early-invalidating addr from the core
+// caches while retaining it in the LLC.
 func (r *Recorder) ECIInvalidate(addr uint64) {
-	r.count(EvECIInvalidate)
+	if r == nil {
+		return
+	}
 	r.eciSeq++
 	if len(r.pending) < maxPendingRescues {
 		//tlavet:allow hotpath size-capped rescue-tracking map; Recorder-attached runs opt out of the zero-alloc contract
@@ -160,45 +128,60 @@ func (r *Recorder) ECIInvalidate(addr uint64) {
 	}
 }
 
-// ECIRescue implements Probe.
+// ECIRescue records a demand access hitting an LLC line that ECI had
+// early-invalidated — the prompt re-reference ECI bets on.
 func (r *Recorder) ECIRescue(addr uint64) {
-	r.count(EvECIRescue)
+	if r == nil {
+		return
+	}
+	r.counts[EvECIRescue]++
 	if at, ok := r.pending[addr]; ok {
 		r.rescue.Observe(r.eciSeq - at)
 		delete(r.pending, addr)
 	}
 }
 
-// QBSQuery implements Probe. The depth histogram records one
-// observation per victim-selection chain — the number of queries that
-// eviction spent. An unsaved query ends its chain immediately; a chain
-// that ends on a save (query limit or replacement fixed point) is
-// closed when the next chain starts, or by Summary.
-func (r *Recorder) QBSQuery(addr uint64, depth int, saved bool) {
-	r.count(EvQBSQuery)
-	if depth == 1 && r.openChain > 0 {
-		r.qbsDepth.Observe(uint64(r.openChain))
-		r.openChain = 0
-	}
-	if saved {
-		r.count(EvQBSSave)
-		r.openChain = depth
+// QBSSelection records the number of queries one QBS victim selection
+// spent; a selection that queried nothing is not an observation.
+func (r *Recorder) QBSSelection(queries int) {
+	if r == nil || queries == 0 {
 		return
 	}
-	r.qbsDepth.Observe(uint64(depth))
-	r.openChain = 0
+	r.qbsDepth.Observe(uint64(queries))
 }
 
-// TLHHint implements Probe.
-func (r *Recorder) TLHHint(addr uint64) { r.count(EvTLHHint) }
+// TracesDecisions reports whether Decision forwards records, so the
+// hierarchy builds a record only when one is wanted.
+func (r *Recorder) TracesDecisions() bool { return r != nil && r.Decisions != nil }
+
+// Decision forwards one LLC victim choice to Decisions.
+func (r *Recorder) Decision(d *Decision) {
+	if r.TracesDecisions() {
+		r.Decisions.Decision(d)
+	}
+}
+
+// Finish records the end-of-window counts the hierarchy keeps itself
+// (hierarchy.EventCounts); the ECI rescue count, which only the
+// recorder observes, is kept. The simulator calls it once, when the
+// run ends.
+func (r *Recorder) Finish(c Counts) {
+	if r == nil {
+		return
+	}
+	c[EvECIRescue] = r.counts[EvECIRescue]
+	r.counts = c
+	for _, n := range c {
+		probeEvents.Add(int64(n))
+	}
+}
 
 // Summary is the JSON-ready digest of one recorder, embedded into run
 // manifests by internal/runner.
 type Summary struct {
 	// Name identifies the run the recorder observed, e.g. "MIX_04/QBS".
 	Name string `json:"name,omitempty"`
-	// Events maps event names to fire counts; zero-count events are
-	// omitted.
+	// Events maps event names to counts; zero-count events are omitted.
 	Events map[string]uint64 `json:"events"`
 	// QBSQueryDepth summarises the queries-per-eviction distribution.
 	QBSQueryDepth *HistogramSummary `json:"qbs_query_depth,omitempty"`
@@ -207,18 +190,16 @@ type Summary struct {
 	ECIRescueDistance *HistogramSummary `json:"eci_rescue_distance,omitempty"`
 }
 
-// Summary digests the recorder's counters and histograms. It closes
-// any QBS query chain still open, so it is intended to be called once,
-// after the run the recorder observed has finished.
+// Summary digests the recorder's counts and histograms; a nil recorder
+// digests to the zero Summary.
 func (r *Recorder) Summary() Summary {
-	if r.openChain > 0 {
-		r.qbsDepth.Observe(uint64(r.openChain))
-		r.openChain = 0
+	if r == nil {
+		return Summary{}
 	}
 	s := Summary{Events: make(map[string]uint64)}
-	for e := Event(0); e < numEvents; e++ {
-		if r.counts[e] > 0 {
-			s.Events[e.String()] = r.counts[e]
+	for e, n := range r.counts {
+		if n > 0 {
+			s.Events[Event(e).String()] = n
 		}
 	}
 	if h := r.qbsDepth.Summary(); h.Count > 0 {
@@ -264,9 +245,6 @@ func JobsCompleted() int64 { return jobsCompleted.Value() }
 // InstructionsSimulated returns the process-wide simulated-instruction
 // count across completed jobs.
 func InstructionsSimulated() int64 { return instructionsUp.Value() }
-
-// ProbeEvents returns the process-wide probe event count.
-func ProbeEvents() int64 { return probeEvents.Value() }
 
 // ServeDebug starts an HTTP server on addr exposing net/http/pprof
 // under /debug/pprof/ and the process expvars (including the tla_*

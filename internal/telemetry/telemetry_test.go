@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -70,21 +71,13 @@ func TestHistogramQuantile(t *testing.T) {
 }
 
 func TestRecorderCountsAndSummary(t *testing.T) {
-	r := NewRecorder()
-	r.InclusionVictim(0, 0x100)
-	r.InclusionVictim(1, 0x140)
-	r.L2InclusionVictim(0, 0x180)
-	r.BackInvalidate(0x100)
-	r.TLHHint(0x200)
-	if r.Count(EvInclusionVictim) != 2 || r.Count(EvBackInvalidate) != 1 {
-		t.Fatalf("counts = %d, %d", r.Count(EvInclusionVictim), r.Count(EvBackInvalidate))
-	}
+	r := NewRecorder(0)
+	r.ECIRescue(0x100)
+	r.Finish(Counts{EvInclusionVictim: 2, EvBackInvalidate: 1, EvTLHHint: 1, EvECIRescue: 9})
 	s := r.Summary()
-	if s.Events["inclusion_victim"] != 2 || s.Events["tlh_hint"] != 1 {
-		t.Fatalf("summary events = %v", s.Events)
-	}
-	if _, ok := s.Events["qbs_query"]; ok {
-		t.Error("zero-count event present in summary")
+	want := map[string]uint64{"inclusion_victim": 2, "back_invalidate": 1, "tlh_hint": 1, "eci_rescue": 1}
+	if !reflect.DeepEqual(s.Events, want) {
+		t.Fatalf("summary events = %v, want %v (zero counts omitted, the recorder's own rescue count kept)", s.Events, want)
 	}
 	if s.QBSQueryDepth != nil || s.ECIRescueDistance != nil {
 		t.Error("empty histograms present in summary")
@@ -92,7 +85,7 @@ func TestRecorderCountsAndSummary(t *testing.T) {
 }
 
 func TestRecorderECIRescueDistance(t *testing.T) {
-	r := NewRecorder()
+	r := NewRecorder(0)
 	r.ECIInvalidate(0xA00) // seq 1
 	r.ECIInvalidate(0xB00) // seq 2
 	r.ECIInvalidate(0xC00) // seq 3
@@ -100,7 +93,7 @@ func TestRecorderECIRescueDistance(t *testing.T) {
 	r.ECIRescue(0xC00)     // distance 0
 	r.ECIRescue(0xD00)     // never invalidated: counted, not histogrammed
 	s := r.Summary()
-	if s.Events["eci_invalidate"] != 3 || s.Events["eci_rescue"] != 3 {
+	if s.Events["eci_rescue"] != 3 {
 		t.Fatalf("events = %v", s.Events)
 	}
 	h := s.ECIRescueDistance
@@ -110,41 +103,66 @@ func TestRecorderECIRescueDistance(t *testing.T) {
 }
 
 func TestRecorderQBSChains(t *testing.T) {
-	r := NewRecorder()
-	// Chain 1: save at depth 1, save at depth 2, unsaved at depth 3.
-	r.QBSQuery(0x1, 1, true)
-	r.QBSQuery(0x2, 2, true)
-	r.QBSQuery(0x3, 3, false)
-	// Chain 2: single unsaved query.
-	r.QBSQuery(0x4, 1, false)
-	// Chain 3: ends on a save (query limit); closed by the next chain.
-	r.QBSQuery(0x5, 1, true)
-	r.QBSQuery(0x6, 2, true)
-	// Chain 4: open at Summary time; Summary closes it.
-	r.QBSQuery(0x7, 1, true)
-	s := r.Summary()
-	if s.Events["qbs_query"] != 7 || s.Events["qbs_save"] != 5 {
-		t.Fatalf("events = %v", s.Events)
+	r := NewRecorder(0)
+	for _, queries := range []int{3, 1, 0, 2, 1} {
+		r.QBSSelection(queries)
 	}
-	h := s.QBSQueryDepth
+	h := r.Summary().QBSQueryDepth
 	if h == nil || h.Count != 4 {
-		t.Fatalf("depth histogram = %+v", h)
+		t.Fatalf("depth histogram = %+v, want one observation per selection that queried", h)
 	}
-	if h.Sum != 3+1+2+1 {
-		t.Errorf("depth sum = %d, want 7", h.Sum)
+	if h.Sum != 3+1+2+1 || h.Max != 3 {
+		t.Errorf("depth sum, max = %d, %d, want 7, 3", h.Sum, h.Max)
+	}
+}
+
+// TestNilRecorderIsNoOp calls every method of a nil *Recorder — the
+// telemetry-off configuration every uninstrumented run takes — and
+// requires each to return without panicking and with zero results.
+func TestNilRecorderIsNoOp(t *testing.T) {
+	var r *Recorder
+	dir := t.TempDir()
+	args := map[reflect.Type]reflect.Value{
+		reflect.TypeOf((*io.Writer)(nil)).Elem(): reflect.ValueOf(io.Writer(&strings.Builder{})),
+		reflect.TypeOf(""):                       reflect.ValueOf(filepath.Join(dir, "intervals")),
+		reflect.TypeOf(&Decision{}):              reflect.ValueOf(&Decision{}),
+	}
+	v := reflect.ValueOf(r)
+	for i := 0; i < v.NumMethod(); i++ {
+		name := v.Type().Method(i).Name
+		m := v.Method(i)
+		in := make([]reflect.Value, m.Type().NumIn())
+		for j := range in {
+			arg, ok := args[m.Type().In(j)]
+			if !ok {
+				arg = reflect.New(m.Type().In(j)).Elem()
+			}
+			in[j] = arg
+		}
+		for _, out := range m.Call(in) {
+			if !out.IsZero() {
+				t.Errorf("nil %s returned %v, want the zero value", name, out)
+			}
+		}
+	}
+	if got := args[reflect.TypeOf((*io.Writer)(nil)).Elem()].Interface().(fmt.Stringer).String(); got != "" {
+		t.Errorf("nil recorder wrote %q", got)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("nil recorder created %d files", len(entries))
 	}
 }
 
 func TestSamplerDeltas(t *testing.T) {
-	s := NewSampler(1000)
-	if s.Every() != 1000 {
-		t.Fatalf("every = %d", s.Every())
+	r := NewRecorder(1000)
+	if r.Every() != 1000 {
+		t.Fatalf("every = %d", r.Every())
 	}
-	s.Observe(0, 1000, 2000, 10, 3, 0.5)
-	s.Observe(1, 1000, 4000, 50, 0, 0.5)
-	s.Observe(0, 2000, 3000, 15, 7, 0.8)
-	s.Observe(0, 2000, 3000, 15, 7, 0.8) // duplicate flush: ignored
-	got := s.Samples()
+	r.Observe(0, 1000, 2000, 10, 3, 0.5)
+	r.Observe(1, 1000, 4000, 50, 0, 0.5)
+	r.Observe(0, 2000, 3000, 15, 7, 0.8)
+	r.Observe(0, 2000, 3000, 15, 7, 0.8) // duplicate flush: ignored
+	got := r.Samples()
 	if len(got) != 3 {
 		t.Fatalf("%d samples", len(got))
 	}
@@ -161,28 +179,15 @@ func TestSamplerDeltas(t *testing.T) {
 	if third.VictimsPerMinst != 4000 {
 		t.Errorf("victims/Minst = %v", third.VictimsPerMinst)
 	}
-	if s.TotalInclusionVictims() != 7 {
-		t.Errorf("total victims = %d", s.TotalInclusionVictims())
-	}
-}
-
-func TestNewSamplerZeroIsNil(t *testing.T) {
-	if s := NewSampler(0); s != nil {
-		t.Fatal("zero interval did not yield nil sampler")
-	}
-	var s *Sampler
-	if s.Samples() != nil || s.TotalInclusionVictims() != 0 {
-		t.Fatal("nil sampler accessors not safe")
-	}
 }
 
 func TestSamplerWriters(t *testing.T) {
-	s := NewSampler(100)
-	s.Observe(0, 100, 200, 5, 1, 0.25)
-	s.Observe(0, 200, 400, 9, 2, 0.5)
+	r := NewRecorder(100)
+	r.Observe(0, 100, 200, 5, 1, 0.25)
+	r.Observe(0, 200, 400, 9, 2, 0.5)
 
 	var csv strings.Builder
-	if err := s.WriteCSV(&csv); err != nil {
+	if err := r.WriteCSV(&csv); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
@@ -191,7 +196,7 @@ func TestSamplerWriters(t *testing.T) {
 	}
 
 	var jsonl strings.Builder
-	if err := s.WriteJSONL(&jsonl); err != nil {
+	if err := r.WriteJSONL(&jsonl); err != nil {
 		t.Fatal(err)
 	}
 	var back Sample
@@ -203,7 +208,7 @@ func TestSamplerWriters(t *testing.T) {
 	}
 
 	prefix := filepath.Join(t.TempDir(), "sub", "run-intervals")
-	if err := s.WritePair(prefix); err != nil {
+	if err := r.WritePair(prefix); err != nil {
 		t.Fatal(err)
 	}
 	for _, ext := range []string{".csv", ".jsonl"} {
