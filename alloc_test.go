@@ -19,8 +19,10 @@ import (
 )
 
 // stepper replicates the simulator's per-instruction work (generator
-// Next, ifetch, optional data access, core timing) outside the run
-// loop, so tests can count allocations per instruction directly.
+// Next, ifetch — the memo check, then the full access on a memo miss,
+// as the run loop does — optional data access, core timing) outside
+// the run loop, so tests can count allocations per instruction
+// directly.
 type stepper struct {
 	h      *hierarchy.Hierarchy
 	gens   []*trace.Synthetic
@@ -66,7 +68,10 @@ func (s *stepper) step(n int) {
 		c := i % len(s.gens)
 		s.gens[c].Next(&s.in)
 		now := s.cores[c].Cycle()
-		fetch := s.h.AccessAt(c, hierarchy.IFetch, s.in.PC, now)
+		fetchLat := s.hitLat
+		if !s.h.IFetchMemoHit(c, s.in.PC) {
+			fetchLat = s.h.AccessAt(c, hierarchy.IFetch, s.in.PC, now).Latency
+		}
 		var memLat uint64
 		if s.in.Op != trace.OpNone {
 			kind := hierarchy.Load
@@ -75,7 +80,7 @@ func (s *stepper) step(n int) {
 			}
 			memLat = s.h.AccessAt(c, kind, s.in.Addr, now).Latency
 		}
-		s.cores[c].Instr(fetch.Latency, memLat, s.hitLat)
+		s.cores[c].Instr(fetchLat, memLat, s.hitLat)
 	}
 }
 

@@ -16,9 +16,7 @@ import (
 //
 // Resolution covers the three call shapes the simulator uses:
 //
-//   - direct calls to package-level functions and concrete methods
-//     (including the devirtualized replacement-policy ladder, where
-//     internal/cache calls *replacement.LRUStack methods directly);
+//   - direct calls to package-level functions and concrete methods;
 //   - interface method calls, resolved by implements-matching: an edge
 //     is added to every method of every named type in the module whose
 //     (pointer) method set satisfies the interface — this is how a call

@@ -34,6 +34,7 @@ func TestHotPathRootsMatchBenchmarkEntryPoints(t *testing.T) {
 	// The functions the alloc benchmark's stepper calls directly.
 	stepperEntryPoints := []string{
 		"trace.Synthetic.Next",
+		"hierarchy.Hierarchy.IFetchMemoHit",
 		"hierarchy.Hierarchy.AccessAt",
 		"cpu.Core.Instr",
 	}
@@ -42,13 +43,13 @@ func TestHotPathRootsMatchBenchmarkEntryPoints(t *testing.T) {
 			t.Errorf("benchmark entry point %s is not an annotated hot-path root; roots = %v", want, roots)
 		}
 	}
-	// Access (the unbanked variant) and the policy ladder's Touch/Victim
-	// — annotated on the replacement.Policy interface — must be present
+	// Access (the unbanked variant) and every policy's Touch/Victim —
+	// annotated on the replacement.Policy interface — must be present
 	// too: every concrete policy a mode can configure is reachable.
 	if !rootSet["hierarchy.Hierarchy.Access"] {
 		t.Errorf("hierarchy.Hierarchy.Access missing from roots %v", roots)
 	}
-	for _, policy := range []string{"LRUStack", "NRUBits", "SRRIPTable", "random"} {
+	for _, policy := range []string{"lru", "nru", "srrip", "random"} {
 		for _, method := range []string{"Touch", "Victim"} {
 			if name := "replacement." + policy + "." + method; !rootSet[name] {
 				t.Errorf("policy root %s missing; roots = %v", name, roots)

@@ -23,7 +23,7 @@ import (
 //	//tlavet:resetcover
 //
 // The directive is also valid on an interface method declaration
-// (replacement.StateResetter's ResetState), roping in every module
+// (replacement.Policy's ResetState), roping in every module
 // implementation. Each annotated method's receiver struct — and every
 // module-local struct reached through its non-exempt, non-delegated
 // fields, through pointers, slices, arrays, maps, and embedded types —
@@ -34,7 +34,7 @@ import (
 //     method or a transitively-called helper with the same receiver
 //     type; matching is type-based, so aliasing works),
 //   - a delegated reset: calling another //tlavet:resetcover method on
-//     the field (h.llc.Reset(), p.LRUStack.ResetState()),
+//     the field (h.llc.Reset(), p.lru.ResetState()),
 //   - a `//tlavet:resetexempt <reason>` at the field declaration.
 //
 // Distinct findings separate a field that is never reset, an exemption
@@ -113,7 +113,7 @@ func checkResetCoverage(mp *ModulePass, g *callGraph, ix *coverIndex,
 
 	// The body set: the annotated method plus every transitively-called
 	// helper method on the same receiver type (h.clearIFetchMemos(),
-	// c.setPolicy(), g.Reset()); their writes count as the reset's own.
+	// g.Reset()); their writes count as the reset's own.
 	body := []*cgNode{root}
 	seen := map[*cgNode]bool{root: true}
 	for i := 0; i < len(body); i++ {

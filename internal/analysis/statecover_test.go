@@ -54,20 +54,18 @@ func (p *Pool) Reset() {
 // complementary; this table is the contract that neither side silently
 // loses a type.
 var dynamicResetProofs = map[string]string{
-	"hierarchy.Hierarchy":    "sim.TestResetEquivalence (pooled machine reuse across all machine modes)",
-	"hierarchy.victimCache":  "sim.TestResetEquivalence (victim-cache machine modes exercise vc.reset)",
-	"cache.Cache":            "sim.TestResetEquivalence (hierarchy.Reset resets every level's Cache)",
-	"prefetch.Streamer":      "sim.TestResetEquivalence (prefetch machine modes reset the streamers)",
-	"cpu.Core":               "sim.TestResetEquivalence (cores are reset on every pooled acquire)",
-	"trace.Synthetic":        "sim pooled-generator tests (acquireSynthetic reinitialises via Reinit)",
-	"replacement.LRUStack":   "replacement.TestResetStateEquivalence (StateResetter audit)",
-	"replacement.NRUBits":    "replacement.TestResetStateEquivalence (StateResetter audit)",
-	"replacement.SRRIPTable": "replacement.TestResetStateEquivalence (StateResetter audit)",
-	"replacement.random":     "replacement.TestResetStateEquivalence (StateResetter audit)",
-	"replacement.bip":        "replacement.TestResetStateEquivalence (StateResetter audit)",
-	"replacement.dip":        "replacement.TestResetStateEquivalence (StateResetter audit)",
-	"replacement.brrip":      "replacement.TestResetStateEquivalence (StateResetter audit)",
-	"replacement.drrip":      "replacement.TestResetStateEquivalence (StateResetter audit)",
+	"hierarchy.Hierarchy":   "sim.TestResetEquivalence (pooled machine reuse across all machine modes)",
+	"hierarchy.victimCache": "sim.TestResetEquivalence (victim-cache machine modes exercise vc.reset)",
+	"cache.Cache":           "sim.TestResetEquivalence (hierarchy.Reset resets every level's Cache)",
+	"prefetch.Streamer":     "sim.TestResetEquivalence (prefetch machine modes reset the streamers)",
+	"cpu.Core":              "sim.TestResetEquivalence (cores are reset on every pooled acquire)",
+	"trace.Synthetic":       "sim pooled-generator tests (acquireSynthetic reinitialises via Reinit)",
+	"replacement.lru":       "replacement.TestResetStateEquivalence (reset policy DeepEqual to a fresh one)",
+	"replacement.nru":       "replacement.TestResetStateEquivalence (reset policy DeepEqual to a fresh one)",
+	"replacement.srrip":     "replacement.TestResetStateEquivalence (reset policy DeepEqual to a fresh one)",
+	"replacement.random":    "replacement.TestResetStateEquivalence (reset policy DeepEqual to a fresh one)",
+	"replacement.dip":       "replacement.TestResetStateEquivalence (reset policy DeepEqual to a fresh one)",
+	"replacement.drrip":     "replacement.TestResetStateEquivalence (reset policy DeepEqual to a fresh one)",
 }
 
 // TestResetcoverMatchesDynamicResetProofs cross-checks the static and

@@ -7,13 +7,9 @@
 // operations exposed here.
 //
 // Line state is held struct-of-arrays style in flat backing slices
-// indexed set*assoc+way: Probe scans one contiguous row of line
-// addresses, which is the single hottest loop in the simulator. The
-// replacement policy is devirtualized for the three policies every
-// paper configuration uses (LRU, NRU, SRRIP): when the cache's policy
-// is exactly one of those concrete types, hot-path calls go straight to
-// the concrete methods instead of through the Policy interface. Other
-// policies (DIP/DRRIP/Random/...) still work through the interface.
+// indexed set*assoc+way: Lookup scans one contiguous row of line
+// addresses, which is the single hottest loop in the simulator. Every
+// replacement decision goes through the cache's one replacement.Policy.
 package cache
 
 import (
@@ -92,12 +88,6 @@ type Cache struct {
 	presence []uint64 // nil until the first non-zero presence write
 
 	policy replacement.Policy
-	// Devirtualized fast paths: exactly one is non-nil when the policy's
-	// concrete type is the matching one; all nil otherwise (interface
-	// dispatch fallback).
-	lru   *replacement.LRUStack
-	nru   *replacement.NRUBits
-	srrip *replacement.SRRIPTable
 
 	//tlavet:resetexempt geometry derived from cfg at construction
 	numLines int
@@ -140,22 +130,8 @@ func New(cfg Config) (*Cache, error) {
 	// presence is allocated lazily on the first non-zero mask: only the
 	// LLC maintains directory bits, so the L1/L2 instances of a
 	// hierarchy never pay for the array.
-	c.setPolicy(replacement.New(cfg.Policy, numSets, cfg.Assoc))
+	c.policy = replacement.New(cfg.Policy, numSets, cfg.Assoc)
 	return c, nil
-}
-
-// setPolicy installs p and re-derives the devirtualization pointers.
-func (c *Cache) setPolicy(p replacement.Policy) {
-	c.policy = p
-	c.lru, c.nru, c.srrip = nil, nil, nil
-	switch cp := p.(type) {
-	case *replacement.LRUStack:
-		c.lru = cp
-	case *replacement.NRUBits:
-		c.nru = cp
-	case *replacement.SRRIPTable:
-		c.srrip = cp
-	}
 }
 
 // MustNew is New for static configurations known to be valid; it panics
@@ -182,69 +158,6 @@ func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.offBits << c.off
 // SetIndex returns the set addr maps to. Like LineAddr it is pure bit
 // arithmetic and total over the full address space.
 func (c *Cache) SetIndex(addr uint64) int { return int(addr >> c.offBits & c.setMask) }
-
-// policyTouch promotes (set, way) in the replacement order via the
-// devirtualized fast path when available.
-func (c *Cache) policyTouch(set, way int) {
-	if c.lru != nil {
-		c.lru.Touch(set, way)
-		return
-	}
-	if c.nru != nil {
-		c.nru.Touch(set, way)
-		return
-	}
-	if c.srrip != nil {
-		c.srrip.Touch(set, way)
-		return
-	}
-	c.policy.Touch(set, way)
-}
-
-func (c *Cache) policyInsert(set, way int) {
-	if c.lru != nil {
-		c.lru.Insert(set, way)
-		return
-	}
-	if c.nru != nil {
-		c.nru.Insert(set, way)
-		return
-	}
-	if c.srrip != nil {
-		c.srrip.Insert(set, way)
-		return
-	}
-	c.policy.Insert(set, way)
-}
-
-func (c *Cache) policyDemote(set, way int) {
-	if c.lru != nil {
-		c.lru.Demote(set, way)
-		return
-	}
-	if c.nru != nil {
-		c.nru.Demote(set, way)
-		return
-	}
-	if c.srrip != nil {
-		c.srrip.Demote(set, way)
-		return
-	}
-	c.policy.Demote(set, way)
-}
-
-func (c *Cache) policyVictim(set int) int {
-	if c.lru != nil {
-		return c.lru.Victim(set)
-	}
-	if c.nru != nil {
-		return c.nru.Victim(set)
-	}
-	if c.srrip != nil {
-		return c.srrip.Victim(set)
-	}
-	return c.policy.Victim(set)
-}
 
 // Lookup resolves addr to its home set and, when the line is resident,
 // its way. It performs the line-addr/set computation exactly once, so
@@ -275,13 +188,6 @@ func (c *Cache) Lookup(addr uint64) (set, way int, ok bool) {
 	return set, bits.TrailingZeros64(^miss) & 63, miss != ^uint64(0)
 }
 
-// Probe looks addr up without touching replacement state or statistics.
-// It returns the way holding the line and true, or false when absent.
-func (c *Cache) Probe(addr uint64) (way int, ok bool) {
-	_, way, ok = c.Lookup(addr)
-	return way, ok
-}
-
 // Contains reports whether addr's line is present and valid.
 func (c *Cache) Contains(addr uint64) bool {
 	_, _, ok := c.Lookup(addr)
@@ -296,7 +202,7 @@ func (c *Cache) Touch(addr uint64) bool {
 	if !ok {
 		return false
 	}
-	c.policyTouch(set, way)
+	c.policy.Touch(set, way)
 	return true
 }
 
@@ -357,45 +263,20 @@ func (c *Cache) VictimWay(set int) int {
 			return w
 		}
 	}
-	return c.policyVictim(set)
+	return c.policy.Victim(set)
 }
-
-// PeekVictim returns a copy of the line VictimWay would displace.
-func (c *Cache) PeekVictim(set int) Line { return c.Line(set, c.VictimWay(set)) }
 
 // WayRank returns the replacement policy's eviction-preference rank for
-// (set, way) — 0 most protected, larger closer to eviction (see
-// replacement.Ranker) — or telemetry.RankUnknown (0xFF) when the policy
-// exposes no per-way rank. Read-only; used by decision tracing to
-// snapshot candidate state.
-func (c *Cache) WayRank(set, way int) uint8 {
-	if c.lru != nil {
-		return c.lru.WayRank(set, way)
-	}
-	if c.nru != nil {
-		return c.nru.WayRank(set, way)
-	}
-	if c.srrip != nil {
-		return c.srrip.WayRank(set, way)
-	}
-	if r, ok := c.policy.(replacement.Ranker); ok {
-		return r.WayRank(set, way)
-	}
-	return rankUnknown
-}
-
-// rankUnknown mirrors telemetry.RankUnknown; duplicated here because
-// the cache package sits below telemetry in the dependency order.
-const rankUnknown uint8 = 0xFF
+// (set, way) — 0 most protected, larger closer to eviction, or
+// replacement.RankUnknown (see replacement.Policy.WayRank). Read-only;
+// used by decision tracing to snapshot candidate state.
+func (c *Cache) WayRank(set, way int) uint8 { return c.policy.WayRank(set, way) }
 
 // PromoteWay moves (set, way) to the most-protected replacement
 // position. Used by QBS when a query finds the candidate resident in a
 // core cache, and by hit handling when the line's set/way is already
 // known from Lookup.
-func (c *Cache) PromoteWay(set, way int) { c.policyTouch(set, way) }
-
-// DemoteWay marks (set, way) as the next victim candidate.
-func (c *Cache) DemoteWay(set, way int) { c.policyDemote(set, way) }
+func (c *Cache) PromoteWay(set, way int) { c.policy.Touch(set, way) }
 
 // Fill allocates addr's line into the cache, evicting the current
 // victim if the set is full. It returns the displaced line (evicted
@@ -429,7 +310,7 @@ func (c *Cache) FillWay(set, way int, addr uint64, presence uint64) (victim Line
 		c.ensurePresence()
 		c.presence[i] = presence
 	}
-	c.policyInsert(set, way)
+	c.policy.Insert(set, way)
 	c.Stats.Fills++
 	return victim, evicted
 }
@@ -453,7 +334,7 @@ func (c *Cache) InvalidateAt(set, way int) Line {
 	if c.presence != nil {
 		c.presence[i] = 0
 	}
-	c.policyDemote(set, way)
+	c.policy.Demote(set, way)
 	c.Stats.Invalidations++
 	return line
 }
@@ -534,13 +415,6 @@ func (c *Cache) Reset() {
 	for i := range c.presence {
 		c.presence[i] = 0
 	}
-	// Reuse the existing replacement state when the policy can reinit
-	// in place; reconstructing policies on every warmup reset was a
-	// measurable share of a run's allocations.
-	if r, ok := c.policy.(replacement.StateResetter); ok {
-		r.ResetState()
-	} else {
-		c.setPolicy(replacement.New(c.cfg.Policy, c.numSets, c.cfg.Assoc))
-	}
+	c.policy.ResetState()
 	c.Stats = Stats{}
 }

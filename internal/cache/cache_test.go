@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -192,14 +193,18 @@ func TestPresenceBits(t *testing.T) {
 	}
 }
 
+// TestProbeDoesNotPerturbReplacement: Lookup, the read-only probe,
+// must not promote the line it finds.
 func TestProbeDoesNotPerturbReplacement(t *testing.T) {
 	c := tiny(t, 64*2, 2, replacement.LRU)
 	c.Fill(0x0, 0)
 	c.Fill(0x40, 0) // LRU order: 0x40 MRU, 0x0 LRU
-	c.Probe(0x0)    // must NOT promote
+	if _, _, ok := c.Lookup(0x0); !ok {
+		t.Fatal("Lookup missed a resident line")
+	}
 	victim, _ := c.Fill(0x80, 0)
 	if victim.Addr != 0x0 {
-		t.Fatalf("Probe perturbed replacement state; victim = %#x", victim.Addr)
+		t.Fatalf("Lookup perturbed replacement state; victim = %#x", victim.Addr)
 	}
 }
 
@@ -208,18 +213,58 @@ func TestPeekAndPromote(t *testing.T) {
 	c.Fill(0x0, 0)
 	c.Fill(0x40, 0)
 	set := c.SetIndex(0x0)
-	if v := c.PeekVictim(set); v.Addr != 0x0 {
-		t.Fatalf("PeekVictim = %#x, want 0x0", v.Addr)
+	if v := c.Line(set, c.VictimWay(set)); v.Addr != 0x0 {
+		t.Fatalf("victim line = %#x, want 0x0", v.Addr)
 	}
 	// Promote the victim (the QBS "line is resident" path); the other
 	// line becomes the victim.
 	c.PromoteWay(set, c.VictimWay(set))
-	if v := c.PeekVictim(set); v.Addr != 0x40 {
-		t.Fatalf("PeekVictim after promote = %#x, want 0x40", v.Addr)
+	if v := c.Line(set, c.VictimWay(set)); v.Addr != 0x40 {
+		t.Fatalf("victim line after promote = %#x, want 0x40", v.Addr)
 	}
-	c.DemoteWay(set, 0)
+	c.policy.Demote(set, 0)
 	if v := c.VictimWay(set); c.Line(set, v).Addr != 0x0 {
-		t.Fatalf("DemoteWay did not take effect")
+		t.Fatalf("Demote did not take effect")
+	}
+}
+
+// TestWayRankForEveryKind pins the rank each policy reports for
+// decision traces: the LRU stack position, 0/1 for a referenced or
+// unreferenced NRU way, the SRRIP RRPV, the base policy's rank for DIP
+// and DRRIP, and RankUnknown for Random.
+func TestWayRankForEveryKind(t *testing.T) {
+	// One set of four ways. Fill ways 0-3 in order, then hit way 1.
+	ranks := func(pol replacement.Kind) []uint8 {
+		c := tiny(t, 64*4, 4, pol)
+		for i := uint64(0); i < 4; i++ {
+			c.Fill(i*0x40, 0)
+		}
+		c.Touch(0x40)
+		var got []uint8
+		for w := 0; w < 4; w++ {
+			got = append(got, c.WayRank(0, w))
+		}
+		return got
+	}
+	unk := replacement.RankUnknown
+	for _, tc := range []struct {
+		pol  replacement.Kind
+		want []uint8
+	}{
+		// MRU first: 1, 3, 2, 0.
+		{replacement.LRU, []uint8{3, 0, 2, 1}},
+		{replacement.DIP, []uint8{3, 0, 2, 1}}, // set 0 leads for LRU: plain MRU inserts
+		// The fourth fill started a new generation keeping only way 3;
+		// the hit then referenced way 1.
+		{replacement.NRU, []uint8{1, 0, 1, 0}},
+		// Fills insert long (RRPV 2); the hit makes way 1 near-immediate.
+		{replacement.SRRIP, []uint8{2, 0, 2, 2}},
+		{replacement.DRRIP, []uint8{2, 0, 2, 2}}, // set 0 leads for SRRIP
+		{replacement.Random, []uint8{unk, unk, unk, unk}},
+	} {
+		if got := ranks(tc.pol); !slices.Equal(got, tc.want) {
+			t.Errorf("%v: WayRank = %v, want %v", tc.pol, got, tc.want)
+		}
 	}
 }
 

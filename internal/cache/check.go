@@ -1,19 +1,14 @@
 package cache
 
-import (
-	"fmt"
-
-	"tlacache/internal/replacement"
-)
+import "fmt"
 
 // CheckConsistency verifies the cache's structural self-consistency:
 // every valid line is aligned and stored in its home set, no set holds
-// the same line twice, and — when the replacement policy implements
-// replacement.Checker — the per-set replacement metadata is
-// well-formed. The audit mode (internal/hierarchy's Auditor) calls
-// this for every cache in the hierarchy; it is O(lines x assoc).
+// the same line twice, and the per-set replacement metadata is
+// well-formed (replacement.Policy.CheckSet). The audit mode
+// (internal/hierarchy's Auditor) calls this for every cache in the
+// hierarchy; it is O(lines x assoc).
 func (c *Cache) CheckConsistency() error {
-	checker, _ := c.policy.(replacement.Checker)
 	for s := 0; s < c.numSets; s++ {
 		base := s * c.assoc
 		for w := 0; w < c.assoc; w++ {
@@ -48,10 +43,8 @@ func (c *Cache) CheckConsistency() error {
 				}
 			}
 		}
-		if checker != nil {
-			if err := checker.CheckSet(s); err != nil {
-				return fmt.Errorf("cache %s: %w", c.cfg.Name, err)
-			}
+		if err := c.policy.CheckSet(s); err != nil {
+			return fmt.Errorf("cache %s: %w", c.cfg.Name, err)
 		}
 	}
 	return nil

@@ -48,14 +48,19 @@ func (h *Hierarchy) Access(core int, kind AccessKind, addr uint64) Result {
 }
 
 // IFetchMemoHit attempts core's instruction-fetch memo without the
-// full access path: when addr falls on the memoized line it counts the
-// L1I hit and returns true, exactly like AccessAt's memo branch (whose
-// Result is then LevelL1 at the configured L1 latency). AccessAt is far
-// beyond the inliner's budget, so the simulator's per-instruction loop
-// uses this (inlinable) check to skip the call on the large majority of
-// fetches that repeat the previous fetch's line; a false return means
-// the fetch must take the full AccessAt path. Configurations that never
-// arm the memo (TLH) simply always return false.
+// full access path: when addr falls on the memoized line — the line of
+// the previous fetch, which hit in the L1I — it counts the L1I hit and
+// returns true, and the fetch's Result is LevelL1 at the configured L1
+// latency. The line is still resident (every removal clears the memo)
+// and its replacement state already reflects a hit touch, which a
+// second touch would not change for any policy. AccessAt is far beyond
+// the inliner's budget, so the simulator's per-instruction loop calls
+// this (inlinable) check before AccessAt to skip the call on the large
+// majority of fetches that repeat the previous fetch's line; a false
+// return means the fetch must take the full AccessAt path, which arms
+// the memo on an L1I hit and disarms it on a miss. Configurations that
+// never arm the memo (TLH: a hit must still deliver its hint) simply
+// always return false.
 //
 //tlavet:hotpath
 func (h *Hierarchy) IFetchMemoHit(core int, addr uint64) bool {
@@ -81,16 +86,6 @@ func (h *Hierarchy) AccessAt(core int, kind AccessKind, addr uint64, now uint64)
 	l1Stats := &cs.L1D
 	src := DL1
 	if kind == IFetch {
-		// Ifetch memo: a repeat of the previous fetch's line, which hit.
-		// The line is still resident (every removal clears the memo) and
-		// its replacement state already reflects a hit touch — a second
-		// touch is idempotent for every policy — so the access reduces
-		// to the hit counter and latency. TLH configurations never arm
-		// the memo (a hit must still deliver its hint).
-		if la == h.lastILine[core] {
-			cs.L1I.Accesses++
-			return Result{LevelL1, h.cfg.Latency.L1}
-		}
 		l1, l1Stats, src = h.l1i[core], &cs.L1I, IL1
 	}
 

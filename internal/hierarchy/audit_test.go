@@ -84,8 +84,7 @@ func TestAuditorDetectsDuplicateLine(t *testing.T) {
 	h := MustNew(smallConfig(2))
 	h.Access(0, Load, 0)
 	llc := h.LLC()
-	set := llc.SetIndex(0)
-	way, ok := llc.Probe(0)
+	set, way, ok := llc.Lookup(0)
 	if !ok {
 		t.Fatal("accessed line missing from LLC")
 	}

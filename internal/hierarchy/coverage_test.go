@@ -167,11 +167,11 @@ func TestDirtyVictimCacheHitPreservesDirtyData(t *testing.T) {
 	}
 	// The refilled LLC line must carry the dirty bit so the data is not
 	// lost on its next eviction.
-	way, ok := h.LLC().Probe(lineA)
+	set, way, ok := h.LLC().Lookup(lineA)
 	if !ok {
 		t.Fatal("lineA not refilled into LLC")
 	}
-	if !h.LLC().Line(h.LLC().SetIndex(lineA), way).Dirty {
+	if !h.LLC().Line(set, way).Dirty {
 		t.Fatal("dirty bit lost through the victim cache")
 	}
 }

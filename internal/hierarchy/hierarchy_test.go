@@ -301,7 +301,7 @@ func TestResultLatencies(t *testing.T) {
 func TestStoreMarksDirtyAndWritesBack(t *testing.T) {
 	h := MustNew(tinyConfig())
 	h.Access(0, Store, lineA)
-	if l, ok := h.L1D(0).Probe(lineA); !ok || !h.L1D(0).Line(h.L1D(0).SetIndex(lineA), l).Dirty {
+	if set, way, ok := h.L1D(0).Lookup(lineA); !ok || !h.L1D(0).Line(set, way).Dirty {
 		t.Fatal("store did not dirty the L1 line")
 	}
 	// Push 'a' out of L1 (dirty writeback to L2), then out of L2

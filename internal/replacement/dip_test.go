@@ -2,60 +2,59 @@ package replacement
 
 import "testing"
 
-func TestLIPInsertsAtLRU(t *testing.T) {
-	p := New(LIP, 1, 4)
-	if p.Name() != "LIP" {
-		t.Fatalf("Name = %q", p.Name())
+// bipWinning returns a DIP policy whose selector is saturated toward
+// BIP, so its follower sets insert as BIP does.
+func bipWinning(t *testing.T) *dip {
+	t.Helper()
+	p := newDIP(64, 4)
+	for i := 0; i < 2*dipPselMax; i++ {
+		p.Insert(0, i%4) // LRU-leader misses: votes for BIP
 	}
-	// Fill all four ways; untouched LIP insertions stay at LRU, so the
-	// most recent fill is the next victim.
-	for w := 0; w < 4; w++ {
-		p.Insert(0, w)
+	if p.psel != dipPselMax {
+		t.Fatalf("PSEL = %d, want saturation at %d", p.psel, dipPselMax)
 	}
-	if got := p.Victim(0); got != 3 {
-		t.Fatalf("victim = %d, want the last-inserted way 3", got)
+	return p
+}
+
+// TestBIPOccasionallyInsertsAtMRU pins BIP's exact bimodal rate on a
+// DIP follower set while BIP wins the duel: exactly one fill in
+// bipEpsilonInverse lands at MRU, the rest at the LRU position.
+func TestBIPOccasionallyInsertsAtMRU(t *testing.T) {
+	p := bipWinning(t)
+	mru, atLRU := 0, 0
+	for i := 0; i < bipEpsilonInverse*10; i++ {
+		p.Insert(5, 1)
+		switch p.WayRank(5, 1) {
+		case 0:
+			mru++
+		case 3:
+			atLRU++
+		default:
+			t.Fatalf("follower fill at stack position %d", p.WayRank(5, 1))
+		}
 	}
-	// A touch rescues a line to MRU.
-	p.Touch(0, 3)
-	if got := p.Victim(0); got == 3 {
-		t.Fatal("touched LIP line still the victim")
+	if mru != 10 || atLRU != 310 {
+		t.Fatalf("follower fills: %d at MRU and %d at LRU of 320, want exactly 10 and 310 (1/32)", mru, atLRU)
 	}
 }
 
-func TestLIPStreamProtectsResidents(t *testing.T) {
-	// The defining LIP property: a no-reuse stream keeps evicting the
-	// same way while touched residents survive. Simulate: ways 0..2
-	// are residents (touched), way 3 receives the stream.
-	p := New(LIP, 1, 4)
+// TestBIPStreamProtectsResidents: on a DIP follower set while BIP
+// wins, a no-reuse stream keeps evicting the same way while touched
+// residents survive.
+func TestBIPStreamProtectsResidents(t *testing.T) {
+	p := bipWinning(t)
 	for w := 0; w < 4; w++ {
-		p.Insert(0, w)
+		p.Insert(5, w)
 	}
 	for i := 0; i < 100; i++ {
 		for w := 0; w < 3; w++ {
-			p.Touch(0, w)
+			p.Touch(5, w) // ways 0-2 are the residents
 		}
-		v := p.Victim(0)
+		v := p.Victim(5)
 		if v != 3 {
 			t.Fatalf("iteration %d: victim = %d, want streaming way 3", i, v)
 		}
-		p.Insert(0, v)
-	}
-}
-
-func TestBIPOccasionallyInsertsAtMRU(t *testing.T) {
-	p := newBIP(1, 4)
-	if p.Name() != "BIP" {
-		t.Fatalf("Name = %q", p.Name())
-	}
-	mru := 0
-	for i := 0; i < 32*10; i++ {
-		p.Insert(0, 1)
-		if p.StackPosition(0, 1) == 0 {
-			mru++
-		}
-	}
-	if mru != 10 {
-		t.Fatalf("MRU insertions = %d out of 320, want exactly 10 (1/32)", mru)
+		p.Insert(5, v)
 	}
 }
 
@@ -73,20 +72,20 @@ func TestDIPLeaderAssignment(t *testing.T) {
 
 func TestDIPPselMovesWithLeaderMisses(t *testing.T) {
 	p := newDIP(64, 4)
-	start := p.PSEL()
+	start := p.psel
 	// Misses in the LRU leader set vote for BIP.
 	for i := 0; i < 10; i++ {
 		p.Insert(0, i%4)
 	}
-	if p.PSEL() != start+10 {
-		t.Fatalf("PSEL after LRU-leader misses = %d, want %d", p.PSEL(), start+10)
+	if p.psel != start+10 {
+		t.Fatalf("PSEL after LRU-leader misses = %d, want %d", p.psel, start+10)
 	}
 	// Misses in the BIP leader set vote for LRU.
 	for i := 0; i < 4; i++ {
 		p.Insert(1, i%4)
 	}
-	if p.PSEL() != start+6 {
-		t.Fatalf("PSEL after BIP-leader misses = %d, want %d", p.PSEL(), start+6)
+	if p.psel != start+6 {
+		t.Fatalf("PSEL after BIP-leader misses = %d, want %d", p.psel, start+6)
 	}
 }
 
@@ -95,14 +94,14 @@ func TestDIPPselSaturates(t *testing.T) {
 	for i := 0; i < dipPselMax*2; i++ {
 		p.Insert(0, i%4)
 	}
-	if p.PSEL() != dipPselMax {
-		t.Fatalf("PSEL = %d, want saturation at %d", p.PSEL(), dipPselMax)
+	if p.psel != dipPselMax {
+		t.Fatalf("PSEL = %d, want saturation at %d", p.psel, dipPselMax)
 	}
 	for i := 0; i < dipPselMax*3; i++ {
 		p.Insert(1, i%4)
 	}
-	if p.PSEL() != 0 {
-		t.Fatalf("PSEL = %d, want saturation at 0", p.PSEL())
+	if p.psel != 0 {
+		t.Fatalf("PSEL = %d, want saturation at 0", p.psel)
 	}
 }
 
@@ -115,7 +114,7 @@ func TestDIPFollowersObeyWinner(t *testing.T) {
 	lruInserts := 0
 	for i := 0; i < 31; i++ { // 31 fills: below the 1/32 MRU break
 		p.Insert(5, 2)
-		if p.StackPosition(5, 2) == 3 {
+		if p.WayRank(5, 2) == 3 {
 			lruInserts++
 		}
 	}
@@ -127,13 +126,13 @@ func TestDIPFollowersObeyWinner(t *testing.T) {
 		p.Insert(1, i%4)
 	}
 	p.Insert(6, 1)
-	if p.StackPosition(6, 1) != 0 {
+	if p.WayRank(6, 1) != 0 {
 		t.Fatal("with LRU winning, follower insert not at MRU")
 	}
 }
 
 func TestNewKindsRegistered(t *testing.T) {
-	for _, k := range []Kind{LIP, BIP, DIP} {
+	for _, k := range []Kind{DIP} {
 		p := New(k, 4, 4)
 		if p.Name() != k.String() {
 			t.Errorf("kind %v: Name %q != String %q", k, p.Name(), k.String())
@@ -142,9 +141,9 @@ func TestNewKindsRegistered(t *testing.T) {
 }
 
 // TestInsertionPoliciesKeepQBSContract extends the promote-and-reselect
-// guarantee to the insertion-policy family.
+// guarantee to DIP on leader and follower sets alike.
 func TestInsertionPoliciesKeepQBSContract(t *testing.T) {
-	for _, k := range []Kind{LIP, BIP, DIP} {
+	for _, k := range []Kind{DIP} {
 		p := New(k, 4, 4)
 		for i := 0; i < 50; i++ {
 			set := i % 4

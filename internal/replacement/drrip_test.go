@@ -2,60 +2,72 @@ package replacement
 
 import "testing"
 
-func TestBRRIPInsertsDistant(t *testing.T) {
-	p := newBRRIP(1, 4)
-	if p.Name() != "BRRIP" {
-		t.Fatalf("Name = %q", p.Name())
+// brripWinning returns a DRRIP policy whose selector is saturated
+// toward BRRIP, so its follower sets insert as BRRIP does.
+func brripWinning(t *testing.T) *drrip {
+	t.Helper()
+	p := newDRRIP(64, 4)
+	for i := 0; i < 2*dipPselMax; i++ {
+		p.Insert(0, i%4) // SRRIP-leader misses: votes for BRRIP
 	}
+	if p.psel != dipPselMax {
+		t.Fatalf("PSEL = %d, want saturation at %d", p.psel, dipPselMax)
+	}
+	return p
+}
+
+// TestBRRIPInsertsDistant pins BRRIP's exact bimodal rate on a DRRIP
+// follower set while BRRIP wins the duel: exactly one fill in
+// bipEpsilonInverse lands at the long RRPV, the rest at distant.
+func TestBRRIPInsertsDistant(t *testing.T) {
+	p := brripWinning(t)
 	long, distant := 0, 0
-	for i := 0; i < 32*8; i++ {
-		p.Insert(0, 1)
-		switch p.rrpv[0*p.assoc+1] {
+	for i := 0; i < bipEpsilonInverse*8; i++ {
+		p.Insert(5, 1)
+		switch p.rrpv[5*p.assoc+1] {
 		case p.max:
 			distant++
 		case p.max - 1:
 			long++
 		default:
-			t.Fatalf("unexpected RRPV %d after BRRIP insert", p.rrpv[0*p.assoc+1])
+			t.Fatalf("unexpected RRPV %d after a follower fill", p.rrpv[5*p.assoc+1])
 		}
 	}
-	if long != 8 {
-		t.Fatalf("long insertions = %d of 256, want exactly 8 (1/32)", long)
-	}
-	if distant != 248 {
-		t.Fatalf("distant insertions = %d", distant)
+	if long != 8 || distant != 248 {
+		t.Fatalf("follower fills: %d long and %d distant of 256, want exactly 8 and 248 (1/32)", long, distant)
 	}
 }
 
+// TestBRRIPResistsThrash: on a DRRIP follower set while BRRIP wins, a
+// touched resident survives a fill stream, because stream fills land
+// distant and evict each other.
 func TestBRRIPResistsThrash(t *testing.T) {
-	// A touched resident survives a fill stream under BRRIP: stream
-	// fills land distant and evict each other.
-	p := newBRRIP(1, 4)
-	p.Insert(0, 0)
-	p.Touch(0, 0) // resident at RRPV 0
+	p := brripWinning(t)
+	p.Insert(5, 0)
+	p.Touch(5, 0) // resident at RRPV 0
 	for i := 0; i < 100; i++ {
-		v := p.Victim(0)
+		v := p.Victim(5)
 		if v == 0 {
 			t.Fatalf("iteration %d: BRRIP evicted the touched resident", i)
 		}
-		p.Insert(0, v)
+		p.Insert(5, v)
 	}
 }
 
 func TestDRRIPLeadersAndPsel(t *testing.T) {
 	p := newDRRIP(64, 4)
-	start := p.PSEL()
+	start := p.psel
 	for i := 0; i < 7; i++ {
 		p.Insert(0, i%4) // SRRIP leader set: votes for BRRIP
 	}
-	if p.PSEL() != start+7 {
-		t.Fatalf("PSEL = %d, want %d", p.PSEL(), start+7)
+	if p.psel != start+7 {
+		t.Fatalf("PSEL = %d, want %d", p.psel, start+7)
 	}
 	for i := 0; i < 3; i++ {
 		p.Insert(1, i%4) // BRRIP leader set: votes for SRRIP
 	}
-	if p.PSEL() != start+4 {
-		t.Fatalf("PSEL = %d, want %d", p.PSEL(), start+4)
+	if p.psel != start+4 {
+		t.Fatalf("PSEL = %d, want %d", p.psel, start+4)
 	}
 	// SRRIP leader always inserts long.
 	p.Insert(0, 2)
@@ -70,8 +82,8 @@ func TestDRRIPFollowersSwitch(t *testing.T) {
 	for i := 0; i < 2*dipPselMax; i++ {
 		p.Insert(0, i%4)
 	}
-	if p.PSEL() != dipPselMax {
-		t.Fatalf("PSEL = %d", p.PSEL())
+	if p.psel != dipPselMax {
+		t.Fatalf("PSEL = %d", p.psel)
 	}
 	distant := 0
 	for i := 0; i < 31; i++ {
@@ -94,7 +106,7 @@ func TestDRRIPFollowersSwitch(t *testing.T) {
 }
 
 func TestRRIPKindsRegistered(t *testing.T) {
-	for _, k := range []Kind{BRRIP, DRRIP} {
+	for _, k := range []Kind{DRRIP} {
 		p := New(k, 4, 4)
 		if p.Name() != k.String() {
 			t.Errorf("kind %v: Name %q != String %q", k, p.Name(), k.String())

@@ -23,7 +23,7 @@ func mustPanic(t *testing.T, want string, fn func()) {
 // TestNewRejectsInvalidGeometry: every kind must refuse non-positive
 // set counts and associativities with an attributable panic.
 func TestNewRejectsInvalidGeometry(t *testing.T) {
-	for _, k := range []Kind{LRU, NRU, SRRIP, Random, LIP, BIP, DIP, BRRIP, DRRIP} {
+	for _, k := range allKinds() {
 		mustPanic(t, "invalid geometry", func() { New(k, 0, 4) })
 		mustPanic(t, "invalid geometry", func() { New(k, 16, 0) })
 		mustPanic(t, "invalid geometry", func() { New(k, -1, 4) })
@@ -44,7 +44,7 @@ func TestLRUWayLimit(t *testing.T) {
 	if v := p.Victim(0); v != 254 {
 		t.Fatalf("victim after touching 255 = %d, want 254", v)
 	}
-	if err := p.(Checker).CheckSet(0); err != nil {
+	if err := p.CheckSet(0); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,6 +1,9 @@
 package replacement
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // lruNibbleOnes and lruNibbleHighs are the SWAR masks for locating a
 // nibble by value: repeated 0x1 and repeated 0x8.
@@ -12,7 +15,7 @@ const (
 	lruIdentity = 0xFEDC_BA98_7654_3210
 )
 
-// LRUStack keeps an exact recency stack per set. Position 0 is the MRU
+// lru keeps an exact recency stack per set. Position 0 is the MRU
 // way and position assoc-1 the LRU way.
 //
 // Two representations share the type. For assoc <= 16 — every cache
@@ -24,12 +27,7 @@ const (
 // with a branch-free SWAR nibble search. Wider caches (up to 256 ways)
 // fall back to explicit stack/inverse byte arrays, both flat and
 // indexed set*assoc+i.
-//
-// The concrete type is exported so that internal/cache can devirtualize
-// the hot path: when a cache's policy is exactly LRU it calls these
-// methods directly (no interface dispatch), keeping the Policy
-// interface for construction, tests, and checker hooks.
-type LRUStack struct {
+type lru struct {
 	//tlavet:resetexempt geometry fixed at construction, identical for every reuse
 	assoc  int
 	packed []uint64 // assoc <= 16: packed[set], nibble p = way at position p
@@ -37,11 +35,11 @@ type LRUStack struct {
 	pos    []uint8  // assoc > 16: pos[set*assoc+way] = position (inverse map)
 }
 
-func newLRU(numSets, assoc int) *LRUStack {
+func newLRU(numSets, assoc int) *lru {
 	if assoc > 256 {
 		panic("replacement: LRU supports at most 256 ways")
 	}
-	p := &LRUStack{assoc: assoc}
+	p := &lru{assoc: assoc}
 	if assoc <= 16 {
 		p.packed = make([]uint64, numSets)
 	} else {
@@ -52,10 +50,10 @@ func newLRU(numSets, assoc int) *LRUStack {
 	return p
 }
 
-func (p *LRUStack) Name() string { return "LRU" }
+func (p *lru) Name() string { return "LRU" }
 
 // ResetState restores the initial recency order (way i at position i).
-func (p *LRUStack) ResetState() {
+func (p *lru) ResetState() {
 	if p.packed != nil {
 		// The mask is all-ones when assoc is 16: 1<<64 is 0 in Go.
 		id := uint64(lruIdentity) & (uint64(1)<<(4*p.assoc) - 1)
@@ -82,7 +80,7 @@ func nibblePos(v, way uint64) int {
 
 // moveTo moves way to position target within set's stack, shifting the
 // intervening entries by one.
-func (p *LRUStack) moveTo(set, way, target int) {
+func (p *lru) moveTo(set, way, target int) {
 	if p.packed != nil {
 		v := p.packed[set]
 		cur := nibblePos(v, uint64(way))
@@ -122,7 +120,7 @@ func (p *LRUStack) moveTo(set, way, target int) {
 
 // Touch promotes way to MRU. The packed splice needs no already-MRU
 // case: at position 0 it rewrites the stack unchanged.
-func (p *LRUStack) Touch(set, way int) {
+func (p *lru) Touch(set, way int) {
 	if p.packed != nil {
 		v := p.packed[set]
 		cur := nibblePos(v, uint64(way))
@@ -134,25 +132,68 @@ func (p *LRUStack) Touch(set, way int) {
 }
 
 // Insert places a newly filled way at MRU.
-func (p *LRUStack) Insert(set, way int) { p.Touch(set, way) }
+func (p *lru) Insert(set, way int) { p.Touch(set, way) }
 
 // Demote moves way to the LRU position.
-func (p *LRUStack) Demote(set, way int) { p.moveTo(set, way, p.assoc-1) }
+func (p *lru) Demote(set, way int) { p.moveTo(set, way, p.assoc-1) }
 
 // Victim returns the LRU way of set.
-func (p *LRUStack) Victim(set int) int {
+func (p *lru) Victim(set int) int {
 	if p.packed != nil {
 		return int(p.packed[set] >> (4 * (p.assoc - 1)) & 0xF)
 	}
 	return int(p.stack[set*p.assoc+p.assoc-1])
 }
 
-// StackPosition reports way's distance from MRU (0 = MRU). It is
-// exported on the concrete type for tests and for the Figure 3 worked
-// example, which needs to display LRU chains.
-func (p *LRUStack) StackPosition(set, way int) int {
+// WayRank is way's recency-stack distance from MRU, so the LRU way has
+// rank assoc-1.
+func (p *lru) WayRank(set, way int) uint8 {
 	if p.packed != nil {
-		return nibblePos(p.packed[set], uint64(way))
+		return uint8(nibblePos(p.packed[set], uint64(way)))
 	}
-	return int(p.pos[set*p.assoc+way])
+	return p.pos[set*p.assoc+way]
+}
+
+// CheckSet verifies the LRU recency stack: set's stack row must be a
+// permutation of the ways and (wide representation) its pos row the
+// exact inverse. For the packed representation the nibbles at and above
+// assoc must additionally be zero — the shift algebra in moveTo depends
+// on it.
+func (p *lru) CheckSet(set int) error {
+	if p.packed != nil {
+		v := p.packed[set]
+		var seen uint32
+		for i := 0; i < p.assoc; i++ {
+			w := v >> (4 * i) & 0xF
+			if int(w) >= p.assoc {
+				return fmt.Errorf("replacement: LRU set %d stack[%d] names way %d of %d", set, i, w, p.assoc)
+			}
+			if seen&(1<<w) != 0 {
+				return fmt.Errorf("replacement: LRU set %d way %d appears twice in the stack", set, w)
+			}
+			seen |= 1 << w
+		}
+		if p.assoc < 16 && v>>(4*p.assoc) != 0 {
+			return fmt.Errorf("replacement: LRU set %d has nonzero nibbles beyond way %d", set, p.assoc-1)
+		}
+		return nil
+	}
+	base := set * p.assoc
+	st := p.stack[base : base+p.assoc]
+	pos := p.pos[base : base+p.assoc]
+	seen := make([]bool, p.assoc)
+	for i, w := range st {
+		if int(w) >= p.assoc {
+			return fmt.Errorf("replacement: LRU set %d stack[%d] names way %d of %d", set, i, w, p.assoc)
+		}
+		if seen[w] {
+			return fmt.Errorf("replacement: LRU set %d way %d appears twice in the stack", set, w)
+		}
+		seen[w] = true
+		if int(pos[w]) != i {
+			return fmt.Errorf("replacement: LRU set %d inverse map broken: pos[%d]=%d, want %d",
+				set, w, pos[w], i)
+		}
+	}
+	return nil
 }

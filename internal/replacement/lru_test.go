@@ -17,7 +17,7 @@ func TestLRUInitialVictimIsLastWay(t *testing.T) {
 func TestLRUTouchMovesToMRU(t *testing.T) {
 	p := newLRU(1, 4)
 	p.Touch(0, 2)
-	if got := p.StackPosition(0, 2); got != 0 {
+	if got := p.WayRank(0, 2); got != 0 {
 		t.Fatalf("touched way position = %d, want 0 (MRU)", got)
 	}
 	if got := p.Victim(0); got == 2 {
@@ -118,7 +118,7 @@ func TestLRUMatchesReferenceModel(t *testing.T) {
 					return false
 				}
 				for i, w := range ref {
-					if p.StackPosition(0, w) != i {
+					if int(p.WayRank(0, w)) != i {
 						return false
 					}
 				}

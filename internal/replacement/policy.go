@@ -1,17 +1,18 @@
 // Package replacement implements the cache replacement policies used by
 // the TLA cache-management study: true LRU (core caches), Not Recently
 // Used (the paper's baseline LLC policy), Static RRIP (the "more
-// intelligent replacement" the paper's footnote 4 verifies against), and
-// a pseudo-random policy used as a stress baseline in tests.
+// intelligent replacement" the paper's footnote 4 verifies against),
+// the set-dueling DIP and DRRIP built on LRU and SRRIP, and a
+// pseudo-random policy used as a stress baseline in tests.
 //
 // A Policy instance manages the replacement state for one cache (all of
 // its sets). Policies are deliberately unaware of tags, validity, and
 // inclusion; the cache layer handles those and calls into the policy on
 // hits, fills, and victim selection. This separation is what lets Query
 // Based Selection (QBS) re-run victim selection after promoting a way:
-// for LRU, NRU, Random, and the insertion-policy family, promoting a
-// way (Touch) guarantees that an immediately following Victim call
-// returns a different way (given at least two ways). SRRIP is the one
+// for LRU, NRU, Random, and DIP, promoting a way (Touch) guarantees
+// that an immediately following Victim call returns a different way
+// (given at least two ways). SRRIP, and DRRIP with it, is the
 // exception: when every line in a set is near-immediate, the aging scan
 // can return the just-promoted way again — the hierarchy's QBS loop
 // detects the fixed point and stops querying.
@@ -22,7 +23,9 @@ import "fmt"
 // Kind names a replacement policy implementation. Switches over Kind
 // must name every policy (tlavet's exhaustive check): a default arm
 // is exactly how a newly added policy would be silently mis-handled
-// by the String/New dispatch ladders.
+// by the String/New dispatch ladders. The values are part of the
+// tlacached result-key format, which writes kinds numerically, so an
+// existing kind never changes value.
 //
 //tlavet:exhaustive
 type Kind int
@@ -45,6 +48,13 @@ const (
 	Random
 )
 
+const (
+	// DIP set-duels LRU against bimodal insertion (dynamic insertion).
+	DIP Kind = 102
+	// DRRIP set-duels SRRIP against bimodal RRIP.
+	DRRIP Kind = 201
+)
+
 // String returns the conventional short name of the policy kind.
 func (k Kind) String() string {
 	switch k {
@@ -56,20 +66,18 @@ func (k Kind) String() string {
 		return "SRRIP"
 	case Random:
 		return "Random"
-	case LIP:
-		return "LIP"
-	case BIP:
-		return "BIP"
 	case DIP:
 		return "DIP"
-	case BRRIP:
-		return "BRRIP"
 	case DRRIP:
 		return "DRRIP"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
 }
+
+// RankUnknown is the WayRank of a policy with no per-way eviction
+// order (Random).
+const RankUnknown uint8 = 0xFF
 
 // Policy tracks replacement state for every set of one cache.
 //
@@ -98,16 +106,22 @@ type Policy interface {
 	//
 	//tlavet:hotpath
 	Victim(set int) int
-}
-
-// StateResetter is an optional interface a Policy may implement to
-// return to its freshly constructed state in place. The cache layer
-// prefers it over rebuilding the policy, so warmup resets do not
-// reallocate replacement metadata. Implementations must reset ALL
-// adaptive state (recency orders, reference bits, fill counters,
-// set-dueling selectors).
-type StateResetter interface {
-	// ResetState returns the policy to its freshly constructed state.
+	// WayRank returns way's eviction-preference rank for decision
+	// tracing: 0 is the most protected way and larger values are closer
+	// to eviction, so ordering candidates by descending rank reproduces
+	// the policy's victim preference. The scale is policy-relative (an
+	// LRU rank is a stack position, an SRRIP rank an RRPV), so ranks
+	// compare within one cache, not across policies; RankUnknown when
+	// the policy has no per-way order.
+	WayRank(set, way int) uint8
+	// CheckSet returns an error when set's replacement metadata is
+	// internally inconsistent. The audit mode (internal/hierarchy's
+	// Auditor) calls it for every set while a simulation runs.
+	CheckSet(set int) error
+	// ResetState returns the policy to its freshly constructed state in
+	// place, so warmup resets and pooled reuse do not reallocate
+	// replacement metadata. It must reset ALL adaptive state (recency
+	// orders, reference bits, fill counters, set-dueling selectors).
 	// The resetcover prover checks every implementation: each field of
 	// the implementing type must be restored here (or by a helper it
 	// calls) or carry a //tlavet:resetexempt justification.
@@ -132,14 +146,8 @@ func New(kind Kind, numSets, assoc int) Policy {
 		return newSRRIP(numSets, assoc)
 	case Random:
 		return newRandom(numSets, assoc)
-	case LIP:
-		return newLIP(numSets, assoc)
-	case BIP:
-		return newBIP(numSets, assoc)
 	case DIP:
 		return newDIP(numSets, assoc)
-	case BRRIP:
-		return newBRRIP(numSets, assoc)
 	case DRRIP:
 		return newDRRIP(numSets, assoc)
 	default:

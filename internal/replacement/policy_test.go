@@ -5,7 +5,7 @@ import (
 	"testing/quick"
 )
 
-func allKinds() []Kind { return []Kind{LRU, NRU, SRRIP, Random, LIP, BIP, DIP, BRRIP, DRRIP} }
+func allKinds() []Kind { return []Kind{LRU, NRU, SRRIP, Random, DIP, DRRIP} }
 
 func TestNewPanicsOnBadGeometry(t *testing.T) {
 	for _, tc := range []struct{ sets, assoc int }{{0, 4}, {4, 0}, {-1, 4}} {
@@ -21,7 +21,7 @@ func TestNewPanicsOnBadGeometry(t *testing.T) {
 }
 
 func TestKindString(t *testing.T) {
-	want := map[Kind]string{LRU: "LRU", NRU: "NRU", SRRIP: "SRRIP", Random: "Random"}
+	want := map[Kind]string{LRU: "LRU", NRU: "NRU", SRRIP: "SRRIP", Random: "Random", DIP: "DIP", DRRIP: "DRRIP"}
 	for k, s := range want {
 		if k.String() != s {
 			t.Errorf("Kind(%d).String() = %q, want %q", int(k), k.String(), s)
@@ -78,7 +78,7 @@ func TestVictimInRange(t *testing.T) {
 // hierarchy's QBS loop handles its fixed point explicitly.
 func TestTouchEvictsDifferentWay(t *testing.T) {
 	const assoc = 4
-	for _, kind := range []Kind{LRU, NRU, Random, LIP, BIP, DIP} {
+	for _, kind := range []Kind{LRU, NRU, Random, DIP} {
 		kind := kind
 		f := func(ops []uint8, probes []bool) bool {
 			p := New(kind, 1, assoc)

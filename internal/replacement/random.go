@@ -1,5 +1,7 @@
 package replacement
 
+import "fmt"
+
 // random selects victims with a deterministic xorshift64 sequence so
 // simulations stay reproducible. The victim for a set is latched until
 // replacement state changes, preserving the Policy contract that
@@ -16,14 +18,8 @@ type random struct {
 const randomSeed uint64 = 0x9e3779b97f4a7c15
 
 func newRandom(numSets, assoc int) *random {
-	p := &random{
-		assoc:  assoc,
-		state:  randomSeed,
-		victim: make([]int, numSets),
-	}
-	for s := range p.victim {
-		p.victim[s] = -1
-	}
+	p := &random{assoc: assoc, victim: make([]int, numSets)}
+	p.ResetState()
 	return p
 }
 
@@ -65,4 +61,16 @@ func (p *random) Victim(set int) int {
 		p.victim[set] = int(p.next() % uint64(p.assoc))
 	}
 	return p.victim[set]
+}
+
+// WayRank is RankUnknown: a random victim has no per-way order.
+func (p *random) WayRank(set, way int) uint8 { return RankUnknown }
+
+// CheckSet verifies the latched victim is either stale (-1) or a real
+// way index.
+func (p *random) CheckSet(set int) error {
+	if v := p.victim[set]; v < -1 || v >= p.assoc {
+		return fmt.Errorf("replacement: Random set %d latched victim %d out of range [0,%d)", set, v, p.assoc)
+	}
+	return nil
 }

@@ -1,16 +1,15 @@
 package replacement
 
-// SRRIPTable implements Static Re-Reference Interval Prediction with
+import "fmt"
+
+// srrip implements Static Re-Reference Interval Prediction with
 // 2-bit re-reference prediction values (RRPVs). Lines are inserted with
 // a "long" re-reference prediction (RRPV = max-1), promoted to "near
 // immediate" (RRPV = 0) on a hit, and evicted when their RRPV reaches
 // the "distant" value (max). When no way is distant, all RRPVs age in
-// lockstep until one is.
-//
-// The concrete type is exported so internal/cache can devirtualize the
-// hot path (see LRUStack). RRPVs live in one flat backing array indexed
+// lockstep until one is. RRPVs live in one flat backing array indexed
 // set*assoc+way.
-type SRRIPTable struct {
+type srrip struct {
 	//tlavet:resetexempt geometry fixed at construction, identical for every reuse
 	assoc int
 	//tlavet:resetexempt derived from srripBits at construction, never varies
@@ -20,38 +19,36 @@ type SRRIPTable struct {
 
 const srripBits = 2
 
-func newSRRIP(numSets, assoc int) *SRRIPTable {
-	p := &SRRIPTable{
+func newSRRIP(numSets, assoc int) *srrip {
+	p := &srrip{
 		assoc: assoc,
 		max:   1<<srripBits - 1,
 		rrpv:  make([]uint8, numSets*assoc),
 	}
-	for i := range p.rrpv {
-		p.rrpv[i] = p.max
-	}
+	p.ResetState()
 	return p
 }
 
-func (p *SRRIPTable) Name() string { return "SRRIP" }
+func (p *srrip) Name() string { return "SRRIP" }
 
 // ResetState marks every line distant, the fresh-table state.
-func (p *SRRIPTable) ResetState() {
+func (p *srrip) ResetState() {
 	for i := range p.rrpv {
 		p.rrpv[i] = p.max
 	}
 }
 
 // Touch promotes way to the near-immediate re-reference prediction.
-func (p *SRRIPTable) Touch(set, way int) { p.rrpv[set*p.assoc+way] = 0 }
+func (p *srrip) Touch(set, way int) { p.rrpv[set*p.assoc+way] = 0 }
 
 // Insert fills way with the long re-reference prediction.
-func (p *SRRIPTable) Insert(set, way int) { p.rrpv[set*p.assoc+way] = p.max - 1 }
+func (p *srrip) Insert(set, way int) { p.rrpv[set*p.assoc+way] = p.max - 1 }
 
 // Demote marks way distant, making it the next victim candidate.
-func (p *SRRIPTable) Demote(set, way int) { p.rrpv[set*p.assoc+way] = p.max }
+func (p *srrip) Demote(set, way int) { p.rrpv[set*p.assoc+way] = p.max }
 
 // Victim returns the first distant way, ageing the set until one exists.
-func (p *SRRIPTable) Victim(set int) int {
+func (p *srrip) Victim(set int) int {
 	rr := p.rrpv[set*p.assoc : set*p.assoc+p.assoc]
 	for {
 		for w := range rr {
@@ -63,4 +60,22 @@ func (p *SRRIPTable) Victim(set int) int {
 			rr[w]++
 		}
 	}
+}
+
+// WayRank is the way's re-reference prediction value (max = distant =
+// next to evict).
+func (p *srrip) WayRank(set, way int) uint8 { return p.rrpv[set*p.assoc+way] }
+
+// CheckSet verifies the RRPV table: every value must be within the
+// 2-bit range. Victim's ageing loop terminates only because some way
+// eventually reaches exactly max — an out-of-range value (possible only
+// through memory corruption or a future encoding bug) could loop
+// forever by stepping past it.
+func (p *srrip) CheckSet(set int) error {
+	for w, v := range p.rrpv[set*p.assoc : set*p.assoc+p.assoc] {
+		if v > p.max {
+			return fmt.Errorf("replacement: SRRIP set %d way %d RRPV %d exceeds max %d", set, w, v, p.max)
+		}
+	}
+	return nil
 }

@@ -313,10 +313,12 @@ func (s *Server) removeJob(j *Job) {
 
 // run executes one job: a worker slot, then the single-flight cache
 // fill. The runner (Workers: 1) supplies panic recovery — a crashing
-// simulation becomes this job's error, not a daemon crash.
+// simulation becomes this job's error, not a daemon crash. The
+// admission slot is released before the job turns terminal, so a
+// client woken by completion never sees its job still counted in the
+// queue depth.
 func (s *Server) run(j *Job, release func()) {
 	defer s.wg.Done()
-	defer release()
 	s.sem <- struct{}{}
 	defer func() { <-s.sem }()
 	j.mu.Lock()
@@ -328,6 +330,7 @@ func (s *Server) run(j *Job, release func()) {
 		return s.executeJob(j)
 	})
 	s.removeJob(j)
+	release()
 	if err != nil {
 		j.fail(err.Error())
 		return

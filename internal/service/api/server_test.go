@@ -587,3 +587,38 @@ func TestFailedJobNotCached(t *testing.T) {
 		t.Errorf("failed job status: %d (failed jobs leave the registry)", resp.StatusCode)
 	}
 }
+
+// TestRunReleasesAdmissionBeforeTerminalState pins the order in
+// Server.run: the admission slot is released while the job is still
+// running, so a ?wait=1 client woken by completion or failure never
+// sees its own job in tlacached_queue_depth.
+func TestRunReleasesAdmissionBeforeTerminalState(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	for _, tc := range []struct {
+		name string
+		spec service.JobSpec
+		want JobState
+	}{
+		{"complete", smallSpec(81), StateDone},
+		{"fail", service.JobSpec{}, StateFailed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			j := newJob("v1:release-"+tc.name, "req-"+tc.name, tc.spec)
+			var atRelease []JobState
+			s.wg.Add(1)
+			s.run(j, func() {
+				state, _ := j.snapshot()
+				atRelease = append(atRelease, state)
+			})
+			if len(atRelease) != 1 {
+				t.Fatalf("release called %d times, want once", len(atRelease))
+			}
+			if atRelease[0] != StateRunning {
+				t.Errorf("admission released with the job %q, want %q", atRelease[0], StateRunning)
+			}
+			if state, _ := j.snapshot(); state != tc.want {
+				t.Errorf("job ended %q, want %q", state, tc.want)
+			}
+		})
+	}
+}

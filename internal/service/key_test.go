@@ -8,6 +8,7 @@ import (
 	"tlacache/internal/cpu"
 	"tlacache/internal/hierarchy"
 	"tlacache/internal/prefetch"
+	"tlacache/internal/replacement"
 	"tlacache/internal/sim"
 	"tlacache/internal/telemetry"
 )
@@ -22,6 +23,11 @@ func TestKeyGolden(t *testing.T) {
 	qbs := base
 	qbs.Hierarchy.TLA = hierarchy.TLAQBS
 	qbs.Hierarchy.QBSProbe = hierarchy.AllCaches
+	// Kinds enter the canonical form by number, so these pin DIP == 102
+	// and DRRIP == 201.
+	dip, drrip := base, base
+	dip.Hierarchy.LLCPolicy = replacement.DIP
+	drrip.Hierarchy.LLCPolicy = replacement.DRRIP
 
 	cases := []struct {
 		name   string
@@ -35,6 +41,10 @@ func TestKeyGolden(t *testing.T) {
 			"v1:a40d2a2800531413bdeb6d628cbec72b24cd27a7ce09f5a0fec48733297ad071"},
 		{"qbs-seed7", qbs, []string{"sje", "lib"}, "qbs", 7,
 			"v1:a00b9ef154ba559d540b19f453c579de8ba042f43ff1be36006fc679d608da23"},
+		{"llc-dip", dip, []string{"sje", "lib"}, "baseline", 1,
+			"v1:ec1cd070675edddfdd6162b1b173eb7d0377695ab87901e8dfc73a695382a64c"},
+		{"llc-drrip", drrip, []string{"sje", "lib"}, "baseline", 1,
+			"v1:af5057533709293dfb4043cbfcd2545bf460bf4dad59a33f90a4e402b61d6d6a"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

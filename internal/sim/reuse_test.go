@@ -80,7 +80,7 @@ func runOn(t *testing.T, cfg Config, m *machine) []byte {
 }
 
 // TestResetEquivalence is the reuse-correctness gate behind the machine
-// pool: for all eight machine modes crossed with all nine LLC
+// pool: for all eight machine modes crossed with all six LLC
 // replacement policies, a machine that already ran a full simulation
 // and was reset the way acquireMachine resets it must reproduce the
 // fresh machine's results byte for byte. Any state that survives
@@ -89,11 +89,11 @@ func runOn(t *testing.T, cfg Config, m *machine) []byte {
 // sequence numbers — shows up here as a diff.
 func TestResetEquivalence(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs 144 short simulations")
+		t.Skip("runs 96 short simulations")
 	}
 	kinds := []replacement.Kind{
-		replacement.LRU, replacement.NRU, replacement.SRRIP, replacement.Random,
-		replacement.LIP, replacement.BIP, replacement.DIP, replacement.BRRIP, replacement.DRRIP,
+		replacement.LRU, replacement.NRU, replacement.SRRIP,
+		replacement.Random, replacement.DIP, replacement.DRRIP,
 	}
 	for _, mode := range machineModes() {
 		for _, kind := range kinds {

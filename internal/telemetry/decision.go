@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"tlacache/internal/replacement"
 )
 
 // This file is the decision-level half of the telemetry layer: where a
@@ -19,9 +21,9 @@ import (
 // instead?".
 
 // RankUnknown is the candidate rank recorded when the cache's
-// replacement policy does not expose a per-way eviction-preference rank
-// (see replacement.Ranker).
-const RankUnknown uint8 = 0xFF
+// replacement policy has no per-way eviction-preference order (see
+// replacement.Policy.WayRank).
+const RankUnknown = replacement.RankUnknown
 
 // NoWay is the way index recorded when a decision has no alternative
 // way to report (e.g. QBSWay when every candidate was core-resident).
