@@ -273,11 +273,19 @@ func TestBankedLLCQueueing(t *testing.T) {
 	if h.Traffic.BankConflictCycles != before {
 		t.Fatal("L1 hits charged bank conflicts")
 	}
-	// Reset clears bank state.
-	h.Reset()
+	// Reset clears bank state and adopts the next run's occupancy.
+	cfg.BankOccupancy = 7
+	h.Reset(cfg)
 	r4 := h.AccessAt(0, Load, lineA, 0)
 	if r4.Latency != r1.Latency {
 		t.Fatalf("post-Reset latency %d, want %d", r4.Latency, r1.Latency)
+	}
+	r5 := h.AccessAt(0, Load, lineB, 0)
+	if r5.Latency != r1.Latency+7 {
+		t.Fatalf("post-Reset conflict latency %d, want %d (+new occupancy)", r5.Latency, r1.Latency+7)
+	}
+	if h.Traffic.BankConflictCycles != 7 {
+		t.Fatalf("post-Reset BankConflictCycles = %d, want 7", h.Traffic.BankConflictCycles)
 	}
 
 	bad := tinyConfig()

@@ -290,6 +290,23 @@ func DefaultConfig(cores int) Config {
 	}
 }
 
+// Shape returns c with zeros in every field the hierarchy reads only
+// while accesses run: the inclusion mode, the TLA policy and its
+// parameters, the inclusive-L2 options, broadcast invalidation, the
+// bank occupancy and the latencies. The fields it keeps size the
+// hierarchy's state, so two configs of one shape build identical
+// arrays, and Reset can move a hierarchy between them.
+func (c Config) Shape() Config {
+	c.Inclusion, c.TLA = 0, 0
+	c.TLHSources, c.TLHPerMille = 0, 0
+	c.QBSProbe, c.QBSMaxQueries, c.QBSEvictSaved = 0, 0, false
+	c.L2Inclusive, c.L2QBS = false, false
+	c.BroadcastInvalidate = false
+	c.BankOccupancy = 0
+	c.Latency = Latencies{}
+	return c
+}
+
 // Validate reports the first configuration problem.
 func (c *Config) Validate() error {
 	if c.Cores <= 0 || c.Cores > 64 {
@@ -395,7 +412,6 @@ type Traffic struct {
 // Hierarchy is a complete simulated cache hierarchy. Not safe for
 // concurrent use: the simulator is single-goroutine for determinism.
 type Hierarchy struct {
-	//tlavet:resetexempt immutable configuration, identical for every reuse
 	cfg Config
 
 	l1i []*cache.Cache
@@ -408,8 +424,7 @@ type Hierarchy struct {
 	buf []uint64 // scratch for prefetch addresses
 
 	hintClock uint64 // deterministic TLH sampling counter
-	//tlavet:resetexempt derived from cfg.TLA at construction, never varies
-	tlhOn bool // cfg.TLA == TLATLH, hoisted out of the L1-hit path
+	tlhOn     bool   // cfg.TLA == TLATLH, hoisted out of the L1-hit path
 
 	// lastILine memoizes, per core, the L1I line of the most recent
 	// instruction fetch when that fetch hit. Sequential code re-fetches
@@ -420,9 +435,8 @@ type Hierarchy struct {
 	// never arms one because L1 hits must still deliver hints.
 	lastILine []uint64
 
-	bankFree []uint64 // per-bank next-free cycle (LLCBanks > 0)
-	//tlavet:resetexempt derived from cfg at construction, never varies
-	bankOccupancy uint64
+	bankFree      []uint64 // per-bank next-free cycle (LLCBanks > 0)
+	bankOccupancy uint64   // cycles an LLC access holds its bank
 
 	// tel is the run's telemetry recorder, nil when the run has none
 	// (every Recorder method is a no-op on nil). dec is the reusable
@@ -442,7 +456,8 @@ func New(cfg Config) (*Hierarchy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	h := &Hierarchy{cfg: cfg, Cores: make([]CoreStats, cfg.Cores), tlhOn: cfg.TLA == TLATLH}
+	h := &Hierarchy{Cores: make([]CoreStats, cfg.Cores)}
+	h.configure(cfg)
 	h.dec.Candidates = make([]telemetry.DecisionCandidate, cfg.LLCAssoc)
 	h.lastILine = make([]uint64, cfg.Cores)
 	h.clearIFetchMemos()
@@ -487,20 +502,31 @@ func New(cfg Config) (*Hierarchy, error) {
 	}
 	if cfg.LLCBanks > 0 {
 		h.bankFree = make([]uint64, cfg.LLCBanks)
-		h.bankOccupancy = cfg.BankOccupancy
-		if h.bankOccupancy == 0 {
-			h.bankOccupancy = 2
-		}
 	}
 	return h, nil
 }
 
-// Reset returns the hierarchy to its freshly constructed state in
-// place, preserving the configuration and every allocation: caches
-// (contents, replacement state, lookup memos), prefetchers, the victim
-// cache, the TLH sampling clock, the per-core ifetch memos, bank
-// clocks, the decision-record scratch (its sequence number restarts at
-// zero, like a fresh hierarchy's), and all statistics.
+// configure adopts cfg and the values derived from it that the access
+// paths read.
+func (h *Hierarchy) configure(cfg Config) {
+	h.cfg = cfg
+	h.tlhOn = cfg.TLA == TLATLH
+	h.bankOccupancy = cfg.BankOccupancy
+	if h.bankOccupancy == 0 {
+		h.bankOccupancy = 2
+	}
+}
+
+// Reset restores in place the state New(cfg) would build, keeping
+// every allocation: it adopts cfg and restores the caches (contents
+// and replacement state), prefetchers, the victim cache, the TLH
+// sampling clock, the per-core ifetch memos, bank clocks, the
+// decision-record scratch (its sequence number restarts at zero, like
+// a fresh hierarchy's), and all statistics. cfg must be valid, and it
+// may differ from the hierarchy's current configuration only in the
+// fields Config.Shape zeroes, so one hierarchy can serve every
+// inclusion mode and TLA policy of its geometry; a cfg of another shape
+// is a caller bug and panics.
 //
 // The telemetry recorder is detached: it belongs to one run's
 // measurement window, and a pooled hierarchy reused for a new run must
@@ -512,7 +538,11 @@ func New(cfg Config) (*Hierarchy, error) {
 // resetcover prover enforces the field inventory statically.
 //
 //tlavet:resetcover
-func (h *Hierarchy) Reset() {
+func (h *Hierarchy) Reset(cfg Config) {
+	if cfg.Shape() != h.cfg.Shape() {
+		panic("hierarchy: Reset to a config of a different shape")
+	}
+	h.configure(cfg)
 	for c := 0; c < h.cfg.Cores; c++ {
 		h.l1i[c].Reset()
 		h.l1d[c].Reset()

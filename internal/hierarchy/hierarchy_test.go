@@ -1,6 +1,7 @@
 package hierarchy
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -633,7 +634,7 @@ func TestResetClearsEverything(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		h.Access(i%2, Load, uint64(i)*64)
 	}
-	h.Reset()
+	h.Reset(cfg)
 	if h.LLC().CountValid() != 0 || h.L1D(0).CountValid() != 0 {
 		t.Fatal("caches not cleared")
 	}
@@ -645,6 +646,70 @@ func TestResetClearsEverything(t *testing.T) {
 			t.Fatalf("core %d stats not cleared", c)
 		}
 	}
+}
+
+// TestShapeClassifiesEveryField pins Config.Shape's split of the config:
+// it zeroes exactly the fields the access paths read while running,
+// which Reset may change between runs, and keeps every field that sizes
+// state. A new Config field fails here until it is classified.
+func TestShapeClassifiesEveryField(t *testing.T) {
+	runOnly := map[string]bool{
+		"Inclusion": true, "TLA": true, "TLHSources": true, "TLHPerMille": true,
+		"QBSProbe": true, "QBSMaxQueries": true, "QBSEvictSaved": true,
+		"L2Inclusive": true, "L2QBS": true, "BroadcastInvalidate": true,
+		"BankOccupancy": true, "Latency": true,
+	}
+	var cfg Config
+	v := reflect.ValueOf(&cfg).Elem()
+	if n := v.NumField(); n != 29 {
+		t.Fatalf("Config has %d fields, want 29: classify the new field in Shape and here", n)
+	}
+	setNonZero(t, v)
+	shape := reflect.ValueOf(cfg.Shape())
+	for i := 0; i < v.NumField(); i++ {
+		name := v.Type().Field(i).Name
+		if runOnly[name] {
+			if !shape.Field(i).IsZero() {
+				t.Errorf("Shape keeps %s, which only the access paths read", name)
+			}
+		} else if !reflect.DeepEqual(shape.Field(i).Interface(), v.Field(i).Interface()) {
+			t.Errorf("Shape drops %s, which sizes the hierarchy's state", name)
+		}
+	}
+}
+
+// setNonZero sets every leaf of v to a non-zero value.
+func setNonZero(t *testing.T, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			setNonZero(t, v.Field(i))
+		}
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(1)
+	default:
+		t.Fatalf("setNonZero: unhandled kind %s", v.Kind())
+	}
+}
+
+// TestResetPanicsOnAnotherShape: only a pool bug hands a hierarchy a
+// config of another geometry, and it must fail loudly rather than run
+// on arrays sized for the old one.
+func TestResetPanicsOnAnotherShape(t *testing.T) {
+	cfg := tinyConfig()
+	h := MustNew(cfg)
+	cfg.LLCSize *= 2
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Reset accepted a config with a different LLCSize")
+		}
+	}()
+	h.Reset(cfg)
 }
 
 func TestLevelStatsHits(t *testing.T) {

@@ -152,7 +152,7 @@ func TestVictimCacheUnderAuditor(t *testing.T) {
 	}
 
 	// Reset must empty the victim cache along with everything else.
-	h.Reset()
+	h.Reset(cfg)
 	if h.vc.len() != 0 {
 		t.Fatalf("victim cache holds %d entries after Reset", h.vc.len())
 	}

@@ -13,15 +13,17 @@ import (
 // full modelled state (every cache's tag, flag, presence, and
 // replacement arrays), which dwarfs the work of short runs and of every
 // warmup-reset. Sweeps run thousands of cells over a handful of
-// distinct machine shapes, so RunGenerators checks these free lists
-// before building. Reuse is sound because hierarchy.Reset and
-// cpu.Core.Reset restore the exact freshly-constructed state — pinned
-// byte-for-byte by TestResetEquivalence (sim) and
+// distinct machine shapes, and every inclusion mode and TLA policy of
+// one geometry shares a shape (hierarchy.Config.Shape), so
+// RunGenerators checks these free lists before building. Reuse is
+// sound because hierarchy.Reset and cpu.Core.Reset restore the exact
+// state a fresh build of the next run's configuration would have —
+// pinned byte-for-byte by TestResetEquivalence (sim) and
 // TestResetStateEquivalence (replacement).
 
-// machineKey identifies a machine shape. Both configs are flat value
-// structs, so the composite is a valid map key and two equal keys
-// describe identical machines.
+// machineKey identifies a machine shape: the hierarchy config's Shape
+// and the core config. Both are flat value structs, so the composite is
+// a valid map key and two equal keys describe identical shapes.
 type machineKey struct {
 	h hierarchy.Config
 	c cpu.Config
@@ -40,9 +42,9 @@ type machine struct {
 	apps      []AppResult
 }
 
-// maxFree bounds each free list so a sweep over many distinct machine
-// shapes cannot pin more idle model state than its worker pool could
-// ever use at once.
+// maxFree bounds each shape's free list so a sweep over many distinct
+// machine shapes cannot pin more idle model state per shape than its
+// worker pool could ever use at once.
 var maxFree = runtime.NumCPU()
 
 var machinePool = struct {
@@ -50,35 +52,36 @@ var machinePool = struct {
 	free map[machineKey][]*machine
 }{free: map[machineKey][]*machine{}}
 
-// acquireMachine returns a reset pooled machine for the configuration,
-// building one only when the free list is empty.
+// acquireMachine returns a pooled machine of the configuration's shape
+// reset to the configuration, building one only when the shape's free
+// list is empty.
 func acquireMachine(hc hierarchy.Config, cc cpu.Config) (*machine, error) {
-	key := machineKey{h: hc, c: cc}
+	key := machineKey{h: hc.Shape(), c: cc}
 	machinePool.Lock()
 	if s := machinePool.free[key]; len(s) > 0 {
 		m := s[len(s)-1]
 		s[len(s)-1] = nil
 		machinePool.free[key] = s[:len(s)-1]
 		machinePool.Unlock()
-		m.h.Reset()
+		m.h.Reset(hc)
 		for _, c := range m.cores {
 			c.Reset()
 		}
 		return m, nil
 	}
 	machinePool.Unlock()
-	return newMachine(key)
+	return newMachine(hc, cc)
 }
 
-// newMachine builds a machine of the given shape, bypassing the pool.
-func newMachine(key machineKey) (*machine, error) {
-	h, err := hierarchy.New(key.h)
+// newMachine builds a machine for the configuration, bypassing the pool.
+func newMachine(hc hierarchy.Config, cc cpu.Config) (*machine, error) {
+	h, err := hierarchy.New(hc)
 	if err != nil {
 		return nil, err
 	}
-	n := key.h.Cores
+	n := hc.Cores
 	m := &machine{
-		key:       key,
+		key:       machineKey{h: hc.Shape(), c: cc},
 		h:         h,
 		cores:     make([]*cpu.Core, n),
 		committed: make([]uint64, n),
@@ -88,7 +91,7 @@ func newMachine(key machineKey) (*machine, error) {
 		apps:      make([]AppResult, n),
 	}
 	for i := 0; i < n; i++ {
-		if m.cores[i], err = cpu.New(key.c); err != nil {
+		if m.cores[i], err = cpu.New(cc); err != nil {
 			return nil, err
 		}
 	}

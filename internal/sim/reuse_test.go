@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"tlacache/internal/cli"
 	"tlacache/internal/hierarchy"
 	"tlacache/internal/replacement"
 	"tlacache/internal/telemetry"
@@ -13,19 +14,19 @@ import (
 	"tlacache/internal/workload"
 )
 
-// machineModes are the eight hierarchy shapes the alloc regression
-// gates exercise: the inclusive baseline, the three TLA policies, the
-// two non-inclusive dispositions, and the two optional structures
-// (prefetcher, victim cache). Together they reach every Reset path a
-// pooled hierarchy has.
-func machineModes() []struct {
+// configMode is a named change to a hierarchy configuration.
+type configMode struct {
 	name string
 	mut  func(*hierarchy.Config)
-} {
-	return []struct {
-		name string
-		mut  func(*hierarchy.Config)
-	}{
+}
+
+// machineModes are the eight hierarchy configurations the alloc
+// regression gates exercise: the inclusive baseline, the three TLA
+// policies, the two non-inclusive dispositions, and the two optional
+// structures (prefetcher, victim cache). Together they reach every
+// Reset path a pooled hierarchy has.
+func machineModes() []configMode {
+	return []configMode{
 		{"baseline-inclusive", func(*hierarchy.Config) {}},
 		{"tlh", func(c *hierarchy.Config) { c.TLA = hierarchy.TLATLH }},
 		{"eci", func(c *hierarchy.Config) { c.TLA = hierarchy.TLAECI }},
@@ -41,7 +42,7 @@ func machineModes() []struct {
 // comparisons cannot be perturbed by machines other tests pooled.
 func freshMachine(t *testing.T, cfg Config) *machine {
 	t.Helper()
-	m, err := newMachine(machineKey{h: cfg.Hierarchy, c: cfg.CPU})
+	m, err := newMachine(cfg.Hierarchy, cfg.CPU)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,17 +80,57 @@ func runOn(t *testing.T, cfg Config, m *machine) []byte {
 	return data
 }
 
+// resetTo resets m for a run of cfg exactly as acquireMachine does.
+func resetTo(m *machine, cfg Config) {
+	m.h.Reset(cfg.Hierarchy)
+	for _, c := range m.cores {
+		c.Reset()
+	}
+}
+
+// shapeGroups lists configurations by shape. Within a group every
+// configuration shares one Config.Shape, so the pool may reset a machine
+// that ran any of them for a run of any other; together they set every
+// field Shape zeroes to a non-default value. The first group covers the
+// TLA policies, the inclusion modes and their options; the second the
+// bank occupancy of a banked LLC.
+func shapeGroups() [][]configMode {
+	return [][]configMode{{
+		{"baseline", func(*hierarchy.Config) {}},
+		{"tlh-l1", func(c *hierarchy.Config) { c.TLA, c.TLHSources = hierarchy.TLATLH, hierarchy.L1Caches }},
+		{"tlh-l2", func(c *hierarchy.Config) { c.TLA, c.TLHSources = hierarchy.TLATLH, hierarchy.L2C }},
+		{"tlh-500", func(c *hierarchy.Config) { c.TLA, c.TLHPerMille = hierarchy.TLATLH, 500 }},
+		{"eci", func(c *hierarchy.Config) { c.TLA = hierarchy.TLAECI }},
+		{"qbs", func(c *hierarchy.Config) { c.TLA = hierarchy.TLAQBS }},
+		{"qbs-l1", func(c *hierarchy.Config) { c.TLA, c.QBSProbe = hierarchy.TLAQBS, hierarchy.L1Caches }},
+		{"qbs-max2", func(c *hierarchy.Config) { c.TLA, c.QBSMaxQueries = hierarchy.TLAQBS, 2 }},
+		{"qbs-modified", func(c *hierarchy.Config) { c.TLA, c.QBSEvictSaved = hierarchy.TLAQBS, true }},
+		{"non-inclusive", func(c *hierarchy.Config) { c.Inclusion = hierarchy.NonInclusive }},
+		{"exclusive", func(c *hierarchy.Config) { c.Inclusion = hierarchy.Exclusive }},
+		{"l2-inclusive-qbs", func(c *hierarchy.Config) { c.L2Inclusive, c.L2QBS = true, true }},
+		{"broadcast", func(c *hierarchy.Config) { c.BroadcastInvalidate = true }},
+		{"memory-300", func(c *hierarchy.Config) { c.Latency.Memory = 300 }},
+	}, {
+		{"banked-occupancy-2", func(c *hierarchy.Config) { c.LLCBanks, c.BankOccupancy = 2, 2 }},
+		{"banked-occupancy-5", func(c *hierarchy.Config) { c.LLCBanks, c.BankOccupancy = 2, 5 }},
+	}}
+}
+
 // TestResetEquivalence is the reuse-correctness gate behind the machine
-// pool: for all eight machine modes crossed with all six LLC
+// pool. First, for all eight machine modes crossed with all six LLC
 // replacement policies, a machine that already ran a full simulation
 // and was reset the way acquireMachine resets it must reproduce the
 // fresh machine's results byte for byte. Any state that survives
 // hierarchy.Reset or cpu.Core.Reset — cache contents, replacement rank
 // or set-dueling state, prefetcher tables, memoization, telemetry
-// sequence numbers — shows up here as a diff.
+// sequence numbers — shows up here as a diff. Second, because the pool
+// keys on shape, for every ordered pair (A, B) of configurations of one
+// shape, a machine that ran A and was reset to B must reproduce a fresh
+// B machine's results byte for byte, so nothing A's configuration
+// derived survives into B's run either.
 func TestResetEquivalence(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs 96 short simulations")
+		t.Skip("runs about 500 short simulations")
 	}
 	kinds := []replacement.Kind{
 		replacement.LRU, replacement.NRU, replacement.SRRIP,
@@ -104,12 +145,7 @@ func TestResetEquivalence(t *testing.T) {
 
 				m := freshMachine(t, cfg)
 				fresh := runOn(t, cfg, m)
-
-				// Exactly acquireMachine's reuse path.
-				m.h.Reset()
-				for _, c := range m.cores {
-					c.Reset()
-				}
+				resetTo(m, cfg)
 				rerun := runOn(t, cfg, m)
 
 				if !bytes.Equal(fresh, rerun) {
@@ -118,6 +154,61 @@ func TestResetEquivalence(t *testing.T) {
 				}
 			})
 		}
+	}
+
+	for _, group := range shapeGroups() {
+		cfgs := make([]Config, len(group))
+		fresh := make([][]byte, len(group))
+		for i, mode := range group {
+			// Small enough that evictions, back-invalidations and QBS
+			// queries happen in both windows.
+			cfgs[i] = quickConfig(2, 4_000)
+			cfgs[i].Hierarchy.LLCSize = 128 << 10
+			cfgs[i].Hierarchy.EnablePrefetch = true
+			mode.mut(&cfgs[i].Hierarchy)
+			fresh[i] = runOn(t, cfgs[i], freshMachine(t, cfgs[i]))
+		}
+		for a := range group {
+			for b := range group {
+				t.Run(fmt.Sprintf("%s-then-%s", group[a].name, group[b].name), func(t *testing.T) {
+					m := freshMachine(t, cfgs[a])
+					runOn(t, cfgs[a], m)
+					resetTo(m, cfgs[b])
+					if got := runOn(t, cfgs[b], m); !bytes.Equal(fresh[b], got) {
+						t.Errorf("machine reset from %s diverged from a fresh %s machine:\n--- fresh ---\n%s\n--- reset ---\n%s",
+							group[a].name, group[b].name, fresh[b], got)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestPoolSharesMachinesAcrossPolicies: every policy the command-line
+// tools and the daemon offer runs on one geometry, so once a baseline
+// run has released its machine, each policy's run must be handed that
+// same machine rather than build its own.
+func TestPoolSharesMachinesAcrossPolicies(t *testing.T) {
+	cfg := quickConfig(2, 1_000)
+	cfg.Hierarchy.LLCSize = 512 << 10 // a shape no other test pools
+	m, err := acquireMachine(cfg.Hierarchy, cfg.CPU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	releaseMachine(m)
+	for _, p := range cli.PolicyNames() {
+		hc := cfg.Hierarchy
+		if err := cli.ApplyPolicy(&hc, p); err != nil {
+			t.Fatal(err)
+		}
+		got, err := acquireMachine(hc, cfg.CPU)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != m {
+			t.Errorf("policy %s got a machine other than the baseline's", p)
+		}
+		releaseMachine(got)
 	}
 }
 
