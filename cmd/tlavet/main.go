@@ -6,20 +6,15 @@
 //	floatcmp        no ==/!= on floats in metrics/experiments
 //	hotpath         no heap allocation reachable from //tlavet:hotpath
 //	                roots (interprocedural, call chains in findings)
-//	lockdiscipline  runner/telemetry/service/sim/decision mutex
-//	                discipline
+//	lockdiscipline  runner/telemetry/service/sim/decision: field
+//	                writes hold the owning mutex, no sends under a lock
 //	detflow         no nondeterministic value or ordering flows into a
 //	                //tlavet:detsink function (interprocedural taint,
 //	                source→sink chains in findings), and no wall clock,
 //	                math/rand or order-dependent map iteration in the
 //	                simulation packages
-//	keycover        every field of a //tlavet:keycover'd config struct
-//	                is encoded or carries //tlavet:keyexempt <reason>
 //	exhaustive      switches over //tlavet:exhaustive enum types name
 //	                every constant (a default arm does not satisfy)
-//	resetcover      every field reachable from a //tlavet:resetcover'd
-//	                reset method's receiver is restored or carries
-//	                //tlavet:resetexempt <reason>
 //
 // Usage:
 //

@@ -132,7 +132,7 @@ func TestRunList(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
 		names = append(names, strings.Fields(line)[0])
 	}
-	want := "floatcmp hotpath lockdiscipline detflow keycover exhaustive resetcover"
+	want := "floatcmp hotpath lockdiscipline detflow exhaustive"
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("-list names %q, want %q", got, want)
 	}

@@ -5,16 +5,15 @@
 // cannot see but the paper's results depend on: byte-identical replays
 // (detflow), a zero-allocation access path (hotpath), sound concurrency
 // in the shared-state packages (lockdiscipline), meaningful metric
-// comparisons (floatcmp), dispatch that names every variant
-// (exhaustive), and two field-coverage proofs on one engine
-// (fieldcover.go): the cache key covers every result-affecting field
-// (keycover) and every pooled reset restores every field (resetcover). A finding is accepted only by a
-// reasoned `//tlavet:allow <check> <reason>` on or above its line.
+// comparisons (floatcmp), and dispatch that names every variant
+// (exhaustive). A finding is accepted only by a reasoned
+// `//tlavet:allow <check> <reason>` on or above its line.
 //
-// Each rule has a dynamic twin that checks the same property on running
-// code; the monotone, conserved traffic counters, for instance, are
-// internal/hierarchy's audit mode (Auditor), wired to
-// sim.Config.AuditEvery and `tlasim -audit N`.
+// Properties a test can check on running code are left to tests: the
+// reset and cache-key field coverage, for instance, are reflection
+// tests built on internal/statecheck, and the monotone, conserved
+// traffic counters are internal/hierarchy's audit mode (Auditor), wired
+// to sim.Config.AuditEvery and `tlasim -audit N`.
 package analysis
 
 import (
@@ -271,9 +270,7 @@ func Analyzers() []*Analyzer {
 		HotPathAnalyzer,
 		LockDisciplineAnalyzer,
 		DetflowAnalyzer,
-		KeycoverAnalyzer,
 		ExhaustiveAnalyzer,
-		ResetcoverAnalyzer,
 	}
 }
 

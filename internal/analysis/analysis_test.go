@@ -24,9 +24,7 @@ var fixtureCases = []struct {
 	{HotPathAnalyzer, "hotpath", "tlacache/internal/hotpath"},
 	{LockDisciplineAnalyzer, "lockdiscipline", "tlacache/internal/runner"},
 	{DetflowAnalyzer, "detflow", "tlacache/internal/detflow"},
-	{KeycoverAnalyzer, "keycover", "tlacache/internal/keycover"},
 	{ExhaustiveAnalyzer, "exhaustive", "tlacache/internal/exhaustive"},
-	{ResetcoverAnalyzer, "resetcover", "tlacache/internal/resetcover"},
 }
 
 // TestGoldenFixtures checks every analyzer against its fixtures: each

@@ -18,11 +18,9 @@ import (
 //     or sync.RWMutex field) from a method that has not lexically
 //     acquired that mutex first;
 //   - channel sends performed while the mutex is held (a send can block
-//     indefinitely, turning a held lock into a deadlock);
-//   - sync.Mutex values copied — by-value receivers or parameters of
-//     mutex-containing structs, dereference copies (*p), and ranging
-//     over a slice of mutex-containing values — which silently forks
-//     the lock.
+//     indefinitely, turning a held lock into a deadlock).
+//
+// Copied mutexes are left to go vet's copylocks check, which CI runs.
 //
 // The held-lock tracking is a lexical approximation, not a dataflow
 // analysis: a `recv.mu.Lock()` call marks the mutex held from that
@@ -34,11 +32,11 @@ import (
 // theirs.
 var LockDisciplineAnalyzer = &Analyzer{
 	Name: "lockdiscipline",
-	Doc:  "runner/telemetry/service/sim/decision: field writes need the owning mutex, no sends under lock, no mutex copies",
+	Doc:  "runner/telemetry/service/sim/decision: field writes need the owning mutex, no sends under lock",
 	Help: "In the concurrent packages, a field owned by a mutex may only be " +
-		"touched with the mutex held, channel sends must not happen under a " +
-		"lock, and mutex-bearing structs must not be copied. Move the access " +
-		"inside the Lock/Unlock window or hand the value off outside it.",
+		"touched with the mutex held, and channel sends must not happen under a " +
+		"lock. Move the access inside the Lock/Unlock window or hand the value " +
+		"off outside it.",
 	Run: runLockDiscipline,
 }
 
@@ -52,7 +50,6 @@ func runLockDiscipline(pass *Pass) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkMutexByValue(pass, fd)
 			if owner, recv, mu := methodOnMutexOwner(pass, fd); owner != "" {
 				checkMethodLocking(pass, fd, owner, recv, mu)
 			}
@@ -84,33 +81,6 @@ func isSyncMutex(t types.Type) bool {
 	obj := named.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
 		(obj.Name() == "Mutex" || obj.Name() == "RWMutex")
-}
-
-// containsMutex reports whether a value of type t embeds a sync mutex
-// anywhere in its (non-pointer) field tree, so copying t copies a lock.
-func containsMutex(t types.Type) bool {
-	return containsMutexRec(t, make(map[types.Type]bool))
-}
-
-func containsMutexRec(t types.Type, seen map[types.Type]bool) bool {
-	if t == nil || seen[t] {
-		return false
-	}
-	seen[t] = true
-	if isSyncMutex(t) {
-		return true
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsMutexRec(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsMutexRec(u.Elem(), seen)
-	}
-	return false
 }
 
 // methodOnMutexOwner classifies fd: when it is a method whose receiver's
@@ -229,58 +199,4 @@ func checkFieldWrite(pass *Pass, lhs ast.Expr, recv, owner, mu string, held bool
 	pass.Report(lhs.Pos(),
 		"write to "+owner+"."+sel.Sel.Name+" without holding "+recv+"."+mu,
 		"acquire "+recv+"."+mu+".Lock() before the write, or use an atomic")
-}
-
-// checkMutexByValue reports mutex-containing values copied through fd's
-// signature or body: by-value receivers and parameters, dereference
-// copies, and range over mutex-containing elements.
-func checkMutexByValue(pass *Pass, fd *ast.FuncDecl) {
-	reportField := func(f *ast.Field, kind string) {
-		t := pass.TypeOf(f.Type)
-		if t == nil {
-			return
-		}
-		if _, isPtr := t.(*types.Pointer); isPtr {
-			return
-		}
-		if containsMutex(t) {
-			pass.Report(f.Pos(),
-				kind+" of type "+t.String()+" copies its sync.Mutex by value",
-				"take a pointer instead; a copied mutex guards nothing")
-		}
-	}
-	if fd.Recv != nil {
-		for _, f := range fd.Recv.List {
-			reportField(f, "by-value receiver")
-		}
-	}
-	if fd.Type.Params != nil {
-		for _, f := range fd.Type.Params.List {
-			reportField(f, "by-value parameter")
-		}
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, rhs := range n.Rhs {
-				if star, ok := ast.Unparen(rhs).(*ast.StarExpr); ok {
-					if t := pass.TypeOf(star); t != nil && containsMutex(t) {
-						pass.Report(rhs.Pos(),
-							"dereference copies "+t.String()+" and its sync.Mutex by value",
-							"keep the pointer; a copied mutex guards nothing")
-					}
-				}
-			}
-		case *ast.RangeStmt:
-			if n.Value == nil {
-				return true
-			}
-			if t := pass.TypeOf(n.Value); t != nil && containsMutex(t) {
-				pass.Report(n.Value.Pos(),
-					"range copies "+t.String()+" elements and their sync.Mutex by value",
-					"range over indices (or a slice of pointers) instead")
-			}
-		}
-		return true
-	})
 }

@@ -60,28 +60,3 @@ func (r *Reporter) SendUnderLock(v int) {
 	r.ch <- v // want `channel send while r\.mu is held`
 	r.mu.Unlock()
 }
-
-// Snapshot copies the mutex through its by-value receiver.
-func (r Reporter) Snapshot() int { // want `by-value receiver of type .*Reporter copies its sync\.Mutex by value`
-	return r.done
-}
-
-// merge copies the mutex through a by-value parameter.
-func merge(a Reporter) int { // want `by-value parameter of type .*Reporter copies its sync\.Mutex by value`
-	return a.done
-}
-
-// clone copies the mutex by dereferencing the pointer.
-func clone(p *Reporter) {
-	c := *p // want `dereference copies .*Reporter and its sync\.Mutex by value`
-	_ = c
-}
-
-// scan copies the mutex once per element while ranging.
-func scan(rs []Reporter) int {
-	total := 0
-	for _, r := range rs { // want `range copies .*Reporter elements and their sync\.Mutex by value`
-		total += r.done
-	}
-	return total
-}

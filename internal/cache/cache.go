@@ -69,15 +69,10 @@ type Stats struct {
 // Cache is a set-associative cache. It is not safe for concurrent use;
 // the simulator is single-goroutine by design (determinism).
 type Cache struct {
-	//tlavet:resetexempt immutable configuration, identical for every reuse
-	cfg Config
-	//tlavet:resetexempt geometry derived from cfg at construction
+	cfg     Config
 	numSets int
-	//tlavet:resetexempt geometry derived from cfg at construction
-	assoc int
-	//tlavet:resetexempt geometry derived from cfg at construction
+	assoc   int
 	offBits uint
-	//tlavet:resetexempt geometry derived from cfg at construction
 	setMask uint64
 
 	// Struct-of-arrays line state, indexed set*assoc+way. tags holds
@@ -89,7 +84,6 @@ type Cache struct {
 
 	policy replacement.Policy
 
-	//tlavet:resetexempt geometry derived from cfg at construction
 	numLines int
 
 	Stats Stats
@@ -406,8 +400,6 @@ func (c *Cache) CountValid() int {
 
 // Reset invalidates every line and zeroes statistics, preserving the
 // geometry and replacement policy kind.
-//
-//tlavet:resetcover
 func (c *Cache) Reset() {
 	for i := range c.flags {
 		c.tags[i], c.flags[i] = invalidTag, 0

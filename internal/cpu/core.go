@@ -61,7 +61,6 @@ type pending struct {
 
 // Core models one processor core's timing. Not safe for concurrent use.
 type Core struct {
-	//tlavet:resetexempt immutable configuration, identical for every reuse
 	cfg   Config
 	cycle uint64
 	sub   int // instructions issued in the current cycle
@@ -69,7 +68,6 @@ type Core struct {
 
 	// queue is a FIFO ring of outstanding memory operations, oldest
 	// first (program order == allocation order, as in a ROB).
-	//tlavet:resetexempt ring contents are dead once head/count are zeroed; slots are overwritten before use
 	queue []pending
 	head  int
 	count int
@@ -198,11 +196,10 @@ func (c *Core) IPC() float64 {
 	return float64(c.Stats.Instructions) / float64(c.cycle)
 }
 
-// Reset returns the core to its initial state.
-//
-//tlavet:resetcover
+// Reset returns the core to the state New built.
 func (c *Core) Reset() {
 	c.cycle, c.sub, c.seq = 0, 0, 0
+	clear(c.queue)
 	c.head, c.count = 0, 0
 	c.Stats = Stats{}
 }

@@ -3,6 +3,8 @@ package cpu
 import (
 	"testing"
 	"testing/quick"
+
+	"tlacache/internal/statecheck"
 )
 
 const hitLat = 1
@@ -172,17 +174,15 @@ func TestIPCZeroCycles(t *testing.T) {
 	}
 }
 
+// TestReset: a core reset after a run that wrapped its miss queue must
+// equal a new core field for field, the queue's dead slots included.
 func TestReset(t *testing.T) {
 	c := MustNew(Default())
 	for i := 0; i < 100; i++ {
 		c.Instr(hitLat, 151, hitLat)
 	}
 	c.Reset()
-	if c.Cycle() != 0 || c.Stats != (Stats{}) || c.count != 0 {
-		t.Fatal("Reset incomplete")
-	}
-	c.Instr(hitLat, 0, hitLat)
-	if c.Stats.Instructions != 1 {
-		t.Fatal("core unusable after Reset")
+	if d := statecheck.Diff(c, MustNew(Default())); d != "" {
+		t.Fatalf("reset core differs from a new one: %s", d)
 	}
 }

@@ -533,11 +533,10 @@ func (h *Hierarchy) configure(cfg Config) {
 // not report events to the previous run's recorder. The simulator
 // re-attaches its own recorder at the warmup boundary.
 //
-// Reset-then-rerun must be indistinguishable from fresh-build-then-run;
-// the reset-equivalence regression tests pin that byte-for-byte; the
-// resetcover prover enforces the field inventory statically.
-//
-//tlavet:resetcover
+// A reset hierarchy must equal New(cfg) field for field, so that
+// reset-then-rerun is indistinguishable from fresh-build-then-run:
+// TestResetClearsEverything compares the two by reflection after runs
+// of every configuration of one shape.
 func (h *Hierarchy) Reset(cfg Config) {
 	if cfg.Shape() != h.cfg.Shape() {
 		panic("hierarchy: Reset to a config of a different shape")
@@ -565,6 +564,7 @@ func (h *Hierarchy) Reset(cfg Config) {
 	// Keep the candidate scratch buffer but restart the record — Seq
 	// must count from zero again or a reused hierarchy's first trace
 	// record would expose the previous run's decision count.
+	clear(h.dec.Candidates)
 	h.dec = telemetry.Decision{Candidates: h.dec.Candidates}
 	for i := range h.Cores {
 		h.Cores[i] = CoreStats{}

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"tlacache/internal/replacement"
+	"tlacache/internal/statecheck"
+	"tlacache/internal/telemetry"
 )
 
 // tinyConfig reproduces Figure 3's toy machine: one core, a
@@ -626,24 +628,90 @@ func TestPrefetcherFillsL2(t *testing.T) {
 	}
 }
 
+// resetMode is a named change to a configuration.
+type resetMode struct {
+	name string
+	mut  func(*Config)
+}
+
+// resetModes lists configurations by shape. Within a group every
+// configuration shares one Config.Shape, so the machine pool may reset
+// a hierarchy that ran any of them for a run of any other; together
+// they set every field Shape zeroes to a non-default value. The first
+// group covers the TLA policies, the inclusion modes and their options;
+// the second the bank occupancy of a banked LLC.
+func resetModes() [][]resetMode {
+	return [][]resetMode{{
+		{"baseline", func(*Config) {}},
+		{"tlh-l1", func(c *Config) { c.TLA, c.TLHSources = TLATLH, L1Caches }},
+		{"tlh-l2", func(c *Config) { c.TLA, c.TLHSources = TLATLH, L2C }},
+		{"tlh-500", func(c *Config) { c.TLA, c.TLHPerMille = TLATLH, 500 }},
+		{"eci", func(c *Config) { c.TLA = TLAECI }},
+		{"qbs", func(c *Config) { c.TLA = TLAQBS }},
+		{"qbs-l1", func(c *Config) { c.TLA, c.QBSProbe = TLAQBS, L1Caches }},
+		{"qbs-max2", func(c *Config) { c.TLA, c.QBSMaxQueries = TLAQBS, 2 }},
+		{"qbs-modified", func(c *Config) { c.TLA, c.QBSEvictSaved = TLAQBS, true }},
+		{"non-inclusive", func(c *Config) { c.Inclusion = NonInclusive }},
+		{"exclusive", func(c *Config) { c.Inclusion = Exclusive }},
+		{"l2-inclusive-qbs", func(c *Config) { c.L2Inclusive, c.L2QBS = true, true }},
+		{"broadcast", func(c *Config) { c.BroadcastInvalidate = true }},
+		{"memory-300", func(c *Config) { c.Latency.Memory = 300 }},
+	}, {
+		{"banked-occupancy-2", func(c *Config) { c.LLCBanks, c.BankOccupancy = 2, 2 }},
+		{"banked-occupancy-5", func(c *Config) { c.LLCBanks, c.BankOccupancy = 2, 5 }},
+	}}
+}
+
+// discardDecisions is a decision tracer that drops every record, so a
+// run fills the hierarchy's decision scratch without storing anything.
+type discardDecisions struct{}
+
+func (discardDecisions) Decision(*telemetry.Decision) {}
+
+// TestResetClearsEverything is the reset twin behind machine pooling:
+// for every ordered pair (A, B) of configurations of one shape, a
+// hierarchy that ran A and was Reset to B must equal, field for field,
+// the hierarchy New builds for B. The run dirties every piece of state
+// a reset has to restore: prefetchers, an 8-entry victim cache and a
+// recorder tracing decisions are attached, about 5,000 mixed accesses
+// overflow every cache, and each core ends on an instruction fetch that
+// hits, arming its fetch memo. Comparing state rather than outputs
+// catches residue that a later warmup would overwrite before any
+// output is compared.
 func TestResetClearsEverything(t *testing.T) {
-	cfg := DefaultConfig(2)
-	cfg.EnablePrefetch = true
-	cfg.VictimCacheEntries = 8
-	h := MustNew(cfg)
-	for i := 0; i < 1000; i++ {
-		h.Access(i%2, Load, uint64(i)*64)
+	ops := make([]uint32, 5_000)
+	x := uint32(2463534242)
+	for i := range ops {
+		x ^= x << 13
+		x ^= x >> 17
+		x ^= x << 5
+		ops[i] = x
 	}
-	h.Reset(cfg)
-	if h.LLC().CountValid() != 0 || h.L1D(0).CountValid() != 0 {
-		t.Fatal("caches not cleared")
-	}
-	if h.Traffic != (Traffic{}) {
-		t.Fatalf("traffic not cleared: %+v", h.Traffic)
-	}
-	for c := range h.Cores {
-		if h.Cores[c] != (CoreStats{}) {
-			t.Fatalf("core %d stats not cleared", c)
+	for _, group := range resetModes() {
+		cfgs := make([]Config, len(group))
+		for i, mode := range group {
+			cfgs[i] = smallConfig(2)
+			cfgs[i].EnablePrefetch = true
+			cfgs[i].VictimCacheEntries = 8
+			mode.mut(&cfgs[i])
+		}
+		for a := range group {
+			for b := range group {
+				h := MustNew(cfgs[a])
+				rec := telemetry.NewRecorder(0)
+				rec.Decisions = discardDecisions{}
+				h.SetTelemetry(rec)
+				replayOps(h, ops, 2)
+				for core := 0; core < 2; core++ {
+					h.Access(core, IFetch, 0x40)
+					h.Access(core, IFetch, 0x40)
+				}
+				h.Reset(cfgs[b])
+				if d := statecheck.Diff(h, MustNew(cfgs[b])); d != "" {
+					t.Errorf("%s reset to %s differs from a new %s hierarchy: %s",
+						group[a].name, group[b].name, group[b].name, d)
+				}
+			}
 		}
 	}
 }
@@ -664,7 +732,7 @@ func TestShapeClassifiesEveryField(t *testing.T) {
 	if n := v.NumField(); n != 29 {
 		t.Fatalf("Config has %d fields, want 29: classify the new field in Shape and here", n)
 	}
-	setNonZero(t, v)
+	statecheck.Leaves(&cfg, func(_ string, leaf reflect.Value) { statecheck.Change(leaf) })
 	shape := reflect.ValueOf(cfg.Shape())
 	for i := 0; i < v.NumField(); i++ {
 		name := v.Type().Field(i).Name
@@ -675,25 +743,6 @@ func TestShapeClassifiesEveryField(t *testing.T) {
 		} else if !reflect.DeepEqual(shape.Field(i).Interface(), v.Field(i).Interface()) {
 			t.Errorf("Shape drops %s, which sizes the hierarchy's state", name)
 		}
-	}
-}
-
-// setNonZero sets every leaf of v to a non-zero value.
-func setNonZero(t *testing.T, v reflect.Value) {
-	t.Helper()
-	switch v.Kind() {
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			setNonZero(t, v.Field(i))
-		}
-	case reflect.Bool:
-		v.SetBool(true)
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		v.SetInt(1)
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		v.SetUint(1)
-	default:
-		t.Fatalf("setNonZero: unhandled kind %s", v.Kind())
 	}
 }
 

@@ -6,7 +6,6 @@ package hierarchy
 // uses 32 entries and finds it recovers only ~0.8% vs 4.5–6.5% for
 // ECI/QBS). Entries are ordered MRU-first.
 type victimCache struct {
-	//tlavet:resetexempt capacity fixed at construction, identical for every reuse
 	capacity int
 	addrs    []uint64
 	dirty    []bool
@@ -73,9 +72,6 @@ func (v *victimCache) len() int { return len(v.addrs) }
 
 // reset empties the victim cache in place, keeping the backing arrays
 // so a reused hierarchy does not reallocate them.
-// reset empties the victim cache in place.
-//
-//tlavet:resetcover
 func (v *victimCache) reset() {
 	v.addrs = v.addrs[:0]
 	v.dirty = v.dirty[:0]

@@ -31,13 +31,10 @@ type detector struct {
 // configuration installs into the L2).
 type Streamer struct {
 	detectors []detector
-	//tlavet:resetexempt configuration fixed at construction, identical for every reuse
-	degree int
-	//tlavet:resetexempt configuration fixed at construction, identical for every reuse
-	window int64
-	//tlavet:resetexempt configuration fixed at construction, identical for every reuse
-	offBits uint
-	tick    uint64
+	degree    int
+	window    int64
+	offBits   uint
+	tick      uint64
 
 	Stats Stats
 }
@@ -172,8 +169,6 @@ func (s *Streamer) OnMiss(addr uint64, buf []uint64) []uint64 {
 }
 
 // Reset clears all detectors and statistics.
-//
-//tlavet:resetcover
 func (s *Streamer) Reset() {
 	for i := range s.detectors {
 		s.detectors[i] = detector{}

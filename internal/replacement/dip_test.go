@@ -132,11 +132,9 @@ func TestDIPFollowersObeyWinner(t *testing.T) {
 }
 
 func TestNewKindsRegistered(t *testing.T) {
-	for _, k := range []Kind{DIP} {
-		p := New(k, 4, 4)
-		if p.Name() != k.String() {
-			t.Errorf("kind %v: Name %q != String %q", k, p.Name(), k.String())
-		}
+	p := New(DIP, 4, 4)
+	if _, ok := p.(*dip); !ok {
+		t.Errorf("New(DIP) built a %T, want *dip", p)
 	}
 }
 

@@ -108,9 +108,6 @@ func TestDRRIPFollowersSwitch(t *testing.T) {
 func TestRRIPKindsRegistered(t *testing.T) {
 	for _, k := range []Kind{DRRIP} {
 		p := New(k, 4, 4)
-		if p.Name() != k.String() {
-			t.Errorf("kind %v: Name %q != String %q", k, p.Name(), k.String())
-		}
 		// Victim always valid.
 		for i := 0; i < 20; i++ {
 			p.Insert(i%4, i%4)

@@ -86,8 +86,6 @@ type dip struct {
 
 func newDIP(numSets, assoc int) *dip { return &dip{lru: newLRU(numSets, assoc), duel: newDuel()} }
 
-func (p *dip) Name() string { return "DIP" }
-
 // ResetState clears the recency stacks, fill counter, and selector.
 func (p *dip) ResetState() {
 	p.lru.ResetState()
@@ -112,8 +110,6 @@ type drrip struct {
 func newDRRIP(numSets, assoc int) *drrip {
 	return &drrip{srrip: newSRRIP(numSets, assoc), duel: newDuel()}
 }
-
-func (p *drrip) Name() string { return "DRRIP" }
 
 // ResetState restores the RRPV table, fill counter, and selector.
 func (p *drrip) ResetState() {

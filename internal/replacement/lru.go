@@ -28,7 +28,6 @@ const (
 // fall back to explicit stack/inverse byte arrays, both flat and
 // indexed set*assoc+i.
 type lru struct {
-	//tlavet:resetexempt geometry fixed at construction, identical for every reuse
 	assoc  int
 	packed []uint64 // assoc <= 16: packed[set], nibble p = way at position p
 	stack  []uint8  // assoc > 16: stack[set*assoc+pos] = way
@@ -49,8 +48,6 @@ func newLRU(numSets, assoc int) *lru {
 	p.ResetState()
 	return p
 }
-
-func (p *lru) Name() string { return "LRU" }
 
 // ResetState restores the initial recency order (way i at position i).
 func (p *lru) ResetState() {

@@ -10,7 +10,6 @@ import "fmt"
 // exists. Reference bits live in one flat backing array indexed
 // set*assoc+way.
 type nru struct {
-	//tlavet:resetexempt geometry fixed at construction, identical for every reuse
 	assoc int
 	ref   []bool  // ref[set*assoc+way]
 	live  []int32 // number of set bits per set, to detect generations
@@ -23,8 +22,6 @@ func newNRU(numSets, assoc int) *nru {
 		live:  make([]int32, numSets),
 	}
 }
-
-func (p *nru) Name() string { return "NRU" }
 
 // ResetState clears every reference bit.
 func (p *nru) ResetState() {

@@ -86,8 +86,6 @@ const RankUnknown uint8 = 0xFF
 // inspects validity; the cache layer is expected to prefer invalid ways
 // itself and only consult Victim when the set is full.
 type Policy interface {
-	// Name returns the policy's short name (e.g. "NRU").
-	Name() string
 	// Touch records a reference to way (a cache hit or an explicit
 	// promotion such as a temporal-locality hint or a QBS save).
 	//
@@ -122,11 +120,8 @@ type Policy interface {
 	// place, so warmup resets and pooled reuse do not reallocate
 	// replacement metadata. It must reset ALL adaptive state (recency
 	// orders, reference bits, fill counters, set-dueling selectors).
-	// The resetcover prover checks every implementation: each field of
-	// the implementing type must be restored here (or by a helper it
-	// calls) or carry a //tlavet:resetexempt justification.
-	//
-	//tlavet:resetcover
+	// TestResetStateEquivalence compares every implementation, reset
+	// after a workload, with a fresh one by reflection.
 	ResetState()
 }
 

@@ -26,10 +26,6 @@ func TestKindString(t *testing.T) {
 		if k.String() != s {
 			t.Errorf("Kind(%d).String() = %q, want %q", int(k), k.String(), s)
 		}
-		p := New(k, 2, 4)
-		if p.Name() != s {
-			t.Errorf("New(%s).Name() = %q, want %q", s, p.Name(), s)
-		}
 	}
 	if got := Kind(99).String(); got != "Kind(99)" {
 		t.Errorf("unknown kind String() = %q", got)

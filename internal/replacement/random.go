@@ -7,7 +7,6 @@ import "fmt"
 // replacement state changes, preserving the Policy contract that
 // repeated Victim calls agree.
 type random struct {
-	//tlavet:resetexempt geometry fixed at construction, identical for every reuse
 	assoc  int
 	state  uint64
 	victim []int // latched victim per set, -1 when stale
@@ -22,8 +21,6 @@ func newRandom(numSets, assoc int) *random {
 	p.ResetState()
 	return p
 }
-
-func (p *random) Name() string { return "Random" }
 
 // ResetState rewinds the victim rng and unlatches every set.
 func (p *random) ResetState() {

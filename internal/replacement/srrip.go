@@ -10,11 +10,9 @@ import "fmt"
 // lockstep until one is. RRPVs live in one flat backing array indexed
 // set*assoc+way.
 type srrip struct {
-	//tlavet:resetexempt geometry fixed at construction, identical for every reuse
 	assoc int
-	//tlavet:resetexempt derived from srripBits at construction, never varies
-	max  uint8
-	rrpv []uint8 // rrpv[set*assoc+way]
+	max   uint8
+	rrpv  []uint8 // rrpv[set*assoc+way]
 }
 
 const srripBits = 2
@@ -28,8 +26,6 @@ func newSRRIP(numSets, assoc int) *srrip {
 	p.ResetState()
 	return p
 }
-
-func (p *srrip) Name() string { return "SRRIP" }
 
 // ResetState marks every line distant, the fresh-table state.
 func (p *srrip) ResetState() {

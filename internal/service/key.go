@@ -26,9 +26,10 @@ const KeyVersion = "v1"
 // the hierarchy); apps is the resolved per-core benchmark list. The
 // observer fields of sim.Config (Telemetry, AuditEvery) are
 // deliberately excluded: they never change simulation results, only
-// what is recorded about them.
-// TestKeyCoversConfig pins the field sets so a new config field cannot
-// creep in unhashed.
+// what is recorded about them. TestKeyCoversConfig changes every leaf
+// of sim.Config in turn and requires the key to change unless the
+// field is on its exempt list, so a new config field cannot creep in
+// unhashed.
 func Key(cfg sim.Config, apps []string, policy string, seed uint64) string {
 	sum := sha256.Sum256([]byte(canonical(cfg, apps, policy, seed)))
 	return KeyVersion + ":" + hex.EncodeToString(sum[:])
@@ -59,13 +60,12 @@ func ValidKey(key string) bool {
 // hashes. Every value is written explicitly — no struct marshalling —
 // so field reordering in the config types cannot reorder the hash
 // input, and enum values are written numerically so renaming a
-// String() form cannot shift keys. tlavet's keycover check proves the
-// field closure of sim.Config is either written here or explicitly
-// exempted at its declaration; detflow proves no nondeterministic
-// value or ordering reaches the hash input.
+// String() form cannot shift keys. TestKeyCoversConfig checks that
+// every field of sim.Config is written here or exempted by name;
+// detflow proves no nondeterministic value or ordering reaches the
+// hash input.
 //
 //tlavet:detsink
-//tlavet:keycover sim.Config
 func canonical(cfg sim.Config, apps []string, policy string, seed uint64) string {
 	var b strings.Builder
 	h := cfg.Hierarchy

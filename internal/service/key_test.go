@@ -1,15 +1,15 @@
 package service
 
 import (
+	"maps"
 	"reflect"
 	"strings"
 	"testing"
 
-	"tlacache/internal/cpu"
 	"tlacache/internal/hierarchy"
-	"tlacache/internal/prefetch"
 	"tlacache/internal/replacement"
 	"tlacache/internal/sim"
+	"tlacache/internal/statecheck"
 	"tlacache/internal/telemetry"
 )
 
@@ -70,33 +70,44 @@ func TestKeyCanonicalGolden(t *testing.T) {
 	}
 }
 
-// TestKeyCoversConfig pins the field counts of every config struct the
-// canonical form renders. Adding a field to any of them fails here
-// loudly: decide whether the field affects simulation results (add it
-// to canonical and bump KeyVersion) or is an observer (document it in
-// the exclusion list below), then update the pinned count.
+// keyExempt names the sim.Config leaves that deliberately stay out of
+// the key, each with the reason it cannot change a cached result.
+var keyExempt = map[string]string{
+	"Seed":       "hashed via Key's explicit seed argument, which overrides this field",
+	"AuditEvery": "debug-only audit mode; aborts on violation, never changes results",
+	"Telemetry":  "pure observer; never changes simulation results",
+	"Epoch":      "result-invariant batching knob; every epoch yields byte-identical manifests (TestEpochInvariance)",
+}
+
+// TestKeyCoversConfig changes every leaf of sim.Config in turn — the
+// fields of nested and embedded structs, and the Telemetry pointer from
+// nil to a recorder — and requires each change to change the key
+// unless keyExempt names the field. A new config field fails here until
+// it is written into canonical (bumping KeyVersion) or exempted with a
+// reason; an exempt field that does change the key fails as stale.
 func TestKeyCoversConfig(t *testing.T) {
-	// sim.Config exclusions: Telemetry and AuditEvery — observers that
-	// cannot change results — and Epoch, the interleave burst length,
-	// which is result-invariant by construction (TestEpochInvariance
-	// pins Epoch=1 against the default byte-for-byte).
-	for _, tc := range []struct {
-		name   string
-		typ    reflect.Type
-		fields int
-	}{
-		{"sim.Config", reflect.TypeOf(sim.Config{}), 8},
-		{"hierarchy.Config", reflect.TypeOf(hierarchy.Config{}), 29},
-		{"hierarchy.Latencies", reflect.TypeOf(hierarchy.Latencies{}), 4},
-		{"cpu.Config", reflect.TypeOf(cpu.Config{}), 3},
-		{"prefetch.Config", reflect.TypeOf(prefetch.Config{}), 4},
-	} {
-		if got := tc.typ.NumField(); got != tc.fields {
-			t.Errorf("%s now has %d fields (canonical form covers %d): "+
-				"add the new field to service.canonical (bumping KeyVersion) "+
-				"or record it as an observer exclusion, then repin",
-				tc.name, got, tc.fields)
+	cfg := sim.DefaultConfig(2)
+	apps := []string{"sje", "lib"}
+	ref := Key(cfg, apps, "baseline", 1)
+	unseen := maps.Clone(keyExempt)
+	statecheck.Leaves(&cfg, func(path string, v reflect.Value) {
+		old := reflect.New(v.Type()).Elem()
+		old.Set(v)
+		statecheck.Change(v)
+		changed := Key(cfg, apps, "baseline", 1) != ref
+		v.Set(old)
+		_, exempt := keyExempt[path]
+		switch {
+		case !changed && !exempt:
+			t.Errorf("changing %s leaves the key unchanged: write it in canonical and bump KeyVersion, "+
+				"or add it to keyExempt with the reason it cannot change results", path)
+		case changed && exempt:
+			t.Errorf("%s is in keyExempt but changes the key: drop the stale exemption", path)
 		}
+		delete(unseen, path)
+	})
+	for path := range unseen {
+		t.Errorf("keyExempt names %s, which is not a leaf of sim.Config", path)
 	}
 }
 

@@ -1,11 +1,11 @@
 package service
 
 import (
-	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
 
+	"tlacache/internal/statecheck"
 	"tlacache/internal/telemetry"
 )
 
@@ -143,28 +143,38 @@ func TestExecuteIntervalSink(t *testing.T) {
 	}
 }
 
+// TestManifestRoundTrip requires two manifests to survive
+// EncodeManifest and DecodeManifest field for field: one with every
+// leaf set, the fields behind its pointers, slices and maps included,
+// so a field the stored form drops (a json:"-" tag, say) fails here
+// before it is lost from every cached result; and one a real run
+// produced.
 func TestManifestRoundTrip(t *testing.T) {
-	spec := JobSpec{Apps: []string{"sje", "lib"}, Instructions: 30_000, Warmup: u64(0)}
-	m, err := Execute(spec, nil)
+	var filled Manifest
+	leaves := 0
+	statecheck.Leaves(&filled, func(_ string, v reflect.Value) {
+		statecheck.Change(v)
+		leaves++
+	})
+	run, err := Execute(JobSpec{Apps: []string{"sje", "lib"}, Instructions: 30_000, Warmup: u64(0)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := EncodeManifest(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if data[len(data)-1] != '\n' {
-		t.Error("manifest misses trailing newline")
-	}
-	back, err := DecodeManifest(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Key != m.Key || back.Result.Throughput != m.Result.Throughput {
-		t.Errorf("round trip lost data: %+v", back)
-	}
-	if !json.Valid(data) {
-		t.Error("manifest is not valid JSON")
+	for name, m := range map[string]Manifest{"filled": filled, "executed": run} {
+		data, err := EncodeManifest(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if data[len(data)-1] != '\n' {
+			t.Errorf("%s manifest misses its trailing newline", name)
+		}
+		back, err := DecodeManifest(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := statecheck.Diff(back, m); d != "" {
+			t.Errorf("%s manifest (%d leaves set by the fill) lost data in a round trip: %s", name, leaves, d)
+		}
 	}
 }
 

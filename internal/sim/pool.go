@@ -18,8 +18,9 @@ import (
 // RunGenerators checks these free lists before building. Reuse is
 // sound because hierarchy.Reset and cpu.Core.Reset restore the exact
 // state a fresh build of the next run's configuration would have —
-// pinned byte-for-byte by TestResetEquivalence (sim) and
-// TestResetStateEquivalence (replacement).
+// compared field for field by TestResetClearsEverything (hierarchy),
+// TestReset (cpu) and TestResetEquivalence (sim), which also compares
+// reused runs' outputs with fresh ones byte for byte.
 
 // machineKey identifies a machine shape: the hierarchy config's Shape
 // and the core config. Both are flat value structs, so the composite is

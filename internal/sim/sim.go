@@ -39,8 +39,6 @@ type Config struct {
 	Warmup uint64
 	// Seed diversifies the synthetic streams; a mix is reproducible
 	// given (Config, Mix).
-	//
-	//tlavet:keyexempt hashed via service.Key's explicit seed argument, which overrides this field
 	Seed uint64
 	// AuditEvery, when positive, runs a full hierarchy audit
 	// (hierarchy.Auditor: structural invariants, per-cache consistency,
@@ -48,8 +46,6 @@ type Config struct {
 	// instructions of the measurement window and aborts the run on a
 	// violation, reporting the seed that reproduces it. Meant for
 	// debugging and the test suite; exposed as `tlasim -audit N`.
-	//
-	//tlavet:keyexempt debug-only audit mode; aborts on violation, never changes results
 	AuditEvery uint64
 	// Telemetry, when non-nil, observes the measurement window: it is
 	// attached after the warmup counter reset, so — like Traffic — it
@@ -62,8 +58,6 @@ type Config struct {
 	// budget, so the inclusion-victim column sums exactly to the run's
 	// aggregate InclusionVictims. A recorder must not be shared between
 	// concurrent runs.
-	//
-	//tlavet:keyexempt pure observer; never changes simulation results
 	Telemetry *telemetry.Recorder
 	// Epoch, when positive, overrides the interleave burst length: the
 	// scheduled core executes up to Epoch instructions before the loop
@@ -74,8 +68,6 @@ type Config struct {
 	// statistics boundary (see the correctness argument at run's burst
 	// sizing, and DESIGN.md §14); TestEpochInvariance pins Epoch=1
 	// against the default byte-for-byte.
-	//
-	//tlavet:keyexempt result-invariant batching knob; every epoch yields byte-identical manifests (TestEpochInvariance)
 	Epoch uint64
 }
 

@@ -153,10 +153,9 @@ func NewSynthetic(prof Profile, seed uint64) (*Synthetic, error) {
 // bit-identical to NewSynthetic(prof, seed) — every field, including
 // the seed-derived region skews and magic divisors, is recomputed from
 // the arguments, so generator pooling (internal/sim) can hand any
-// pooled instance to any run without staleness risk. The resetcover
-// prover enforces the "every field" claim statically.
-//
-//tlavet:resetcover
+// pooled instance to any run without staleness risk.
+// TestReinitMatchesNewSynthetic checks the "every field" claim by
+// reflection.
 func (g *Synthetic) Reinit(prof Profile, seed uint64) error {
 	if err := prof.Validate(); err != nil {
 		return err

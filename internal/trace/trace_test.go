@@ -5,6 +5,8 @@ import (
 	"io"
 	"testing"
 	"testing/quick"
+
+	"tlacache/internal/statecheck"
 )
 
 func testProfile() Profile {
@@ -48,6 +50,35 @@ func TestSyntheticDeterministicAndResettable(t *testing.T) {
 		a.Next(&ia)
 		if ia != first[i] {
 			t.Fatalf("instr %d after Reset: %+v, want %+v", i, ia, first[i])
+		}
+	}
+}
+
+// TestReinitMatchesNewSynthetic is the reset twin behind generator
+// pooling: a generator that ran one profile and was reinitialised for
+// another must equal, field for field, a new generator of the second.
+// The profiles differ in kind — two components of both patterns, one
+// Stream component, and no memory accesses at all — so every derived
+// field changes shape between them.
+func TestReinitMatchesNewSynthetic(t *testing.T) {
+	stream := testProfile()
+	stream.Components = stream.Components[1:]
+	compute := testProfile()
+	compute.MemPerMille, compute.Components = 0, nil
+	profiles := []Profile{testProfile(), stream, compute}
+	for a, pa := range profiles {
+		for b, pb := range profiles {
+			g := MustSynthetic(pa, 7)
+			var in Instr
+			for i := 0; i < 1000; i++ {
+				g.Next(&in)
+			}
+			if err := g.Reinit(pb, 9); err != nil {
+				t.Fatal(err)
+			}
+			if d := statecheck.Diff(g, MustSynthetic(pb, 9)); d != "" {
+				t.Errorf("profile %d reinitialised as profile %d differs from a new generator: %s", a, b, d)
+			}
 		}
 	}
 }
