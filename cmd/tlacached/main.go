@@ -73,7 +73,7 @@ func runDaemon(ctx context.Context, args []string, stdout, stderr io.Writer) int
 	rate := fs.Float64("rate", 0, "admitted jobs per second (0 = unlimited)")
 	burst := fs.Float64("burst", 8, "admission burst capacity in jobs")
 	drain := fs.Duration("drain", 30*time.Second, "shutdown deadline for in-flight simulations")
-	debugAddr := fs.String("debug-addr", "", "serve /debug/tlacache introspection on this address")
+	debugAddr := fs.String("debug-addr", "", "serve expvar (/debug/vars, with the tlacached counters) and pprof (/debug/pprof/) on this address")
 	logFormat := fs.String("log-format", "text", "request log format: text or json")
 	logLevel := fs.String("log-level", "info", "request log level: debug, info, warn, error, or off")
 	showVersion := fs.Bool("version", false, "print build version and exit")
@@ -136,7 +136,7 @@ func runDaemon(ctx context.Context, args []string, stdout, stderr io.Writer) int
 			return 1
 		}
 		defer dbgSrv.Close()
-		fmt.Fprintf(stdout, "tlacached: debug introspection on http://%s/debug/tlacache\n", dbgAddr)
+		fmt.Fprintf(stdout, "tlacached: debug introspection on http://%s/debug/vars and http://%s/debug/pprof/\n", dbgAddr, dbgAddr)
 	}
 
 	httpSrv := &http.Server{Handler: server.Handler()}

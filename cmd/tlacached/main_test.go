@@ -3,24 +3,48 @@ package main
 import (
 	"bytes"
 	"context"
+	"io"
+	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"tlacache/internal/service"
 )
 
+// syncBuffer is a bytes.Buffer that the daemon goroutine writes while
+// a test reads it.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
 // startDaemon runs runDaemon on an ephemeral port and returns its base
-// URL; cleanup cancels the daemon and waits for a clean exit.
-func startDaemon(t *testing.T, extra ...string) string {
+// URL and its stdout; cleanup cancels the daemon and waits for a clean
+// exit.
+func startDaemon(t *testing.T, extra ...string) (string, *syncBuffer) {
 	t.Helper()
 	dir := t.TempDir()
 	addrFile := filepath.Join(dir, "addr")
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan int, 1)
-	var out, errOut bytes.Buffer
+	var out, errOut syncBuffer
 	args := append([]string{
 		"-addr", "127.0.0.1:0",
 		"-addr-file", addrFile,
@@ -43,18 +67,18 @@ func startDaemon(t *testing.T, extra ...string) string {
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		if data, err := os.ReadFile(addrFile); err == nil && len(data) > 0 {
-			return "http://" + strings.TrimSpace(string(data))
+			return "http://" + strings.TrimSpace(string(data)), &out
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("daemon never wrote %s\nstderr: %s", addrFile, errOut.String())
-	return ""
+	return "", nil
 }
 
 // The full loop: daemon up, submit via the client (miss), resubmit
 // (hit, identical bytes), fetch by key, read stats.
 func TestDaemonEndToEnd(t *testing.T) {
-	base := startDaemon(t)
+	base, _ := startDaemon(t)
 	submitArgs := []string{"-server", base, "-wait",
 		"-apps", "sje,lib", "-n", "30000", "-w", "0"}
 
@@ -108,7 +132,7 @@ func TestClientErrors(t *testing.T) {
 	if code := runClient("bogus", nil, &out, &errOut); code != 2 {
 		t.Errorf("unknown command: exit %d, want 2", code)
 	}
-	base := startDaemon(t)
+	base, _ := startDaemon(t)
 	if code := runClient("submit", []string{"-server", base, "-apps", "nope"}, &out, &errOut); code != 1 {
 		t.Errorf("invalid submit: exit %d, want 1", code)
 	}
@@ -124,5 +148,42 @@ func TestDaemonVersionFlag(t *testing.T) {
 	}
 	if strings.TrimSpace(out.String()) == "" {
 		t.Error("no version printed")
+	}
+}
+
+// TestDaemonDebugAddr starts the daemon with a debug listener and GETs
+// every URL its startup line names: each must answer 200, and the
+// expvar page must carry the daemon's own counters.
+func TestDaemonDebugAddr(t *testing.T) {
+	_, out := startDaemon(t, "-debug-addr", "127.0.0.1:0")
+	line := ""
+	for deadline := time.Now().Add(10 * time.Second); line == "" && time.Now().Before(deadline); {
+		for _, l := range strings.Split(out.String(), "\n") {
+			if strings.Contains(l, "debug introspection on") {
+				line = l
+			}
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	urls := regexp.MustCompile(`http://\S+`).FindAllString(line, -1)
+	if len(urls) == 0 {
+		t.Fatalf("no debug URL on stdout:\n%s", out.String())
+	}
+	for _, u := range urls {
+		resp, err := http.Get(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("GET %s: %s", u, resp.Status)
+		}
+		if strings.HasSuffix(u, "/debug/vars") && !strings.Contains(string(body), `"tlacached"`) {
+			t.Errorf("GET %s lacks the tlacached expvar", u)
+		}
 	}
 }

@@ -61,8 +61,6 @@ func main() {
 	workers := flag.Int("workers", 0, "parallel workers when comparing policies (0 = one per CPU)")
 	noPrefetch := flag.Bool("no-prefetch", false, "disable the stream prefetcher")
 	listBench := flag.Bool("list", false, "list benchmarks and mixes, then exit")
-	audit := flag.Uint64("audit", 0,
-		"run a full hierarchy audit (invariants, cache consistency, counter conservation) every N measured instructions (0 = off)")
 	interval := flag.Uint64("interval", 0,
 		"sample per-core IPC/MPKI/inclusion-victim time series every N instructions (0 = off)")
 	telemetryOut := flag.String("telemetry-out", "tlasim-intervals",
@@ -144,7 +142,6 @@ func main() {
 	baseCfg.Instructions = *n
 	baseCfg.Warmup = *w
 	baseCfg.Seed = *seed
-	baseCfg.AuditEvery = *audit
 	baseCfg.Hierarchy.EnablePrefetch = !*noPrefetch
 	if *llc != "" {
 		size, err := cli.ParseSize(*llc)
@@ -176,7 +173,7 @@ func main() {
 			Work: uint64(cores) * (cfg.Warmup + cfg.Instructions),
 			Run: func(context.Context) (out outcome, err error) {
 				out = outcome{Policy: p, Config: cfg}
-				if *interval > 0 || *audit > 0 || *decisionTrace != "" {
+				if *interval > 0 || *decisionTrace != "" {
 					out.Recorder = telemetry.NewRecorder(*interval)
 					cfg.Telemetry = out.Recorder
 				}
@@ -214,8 +211,8 @@ func main() {
 						}
 					}()
 				}
-				// Sampled and audited runs report the telemetry summary.
-				if *interval > 0 || *audit > 0 {
+				// Sampled runs report the telemetry summary.
+				if *interval > 0 {
 					defer func() {
 						s := out.Recorder.Summary()
 						out.Telemetry = &s

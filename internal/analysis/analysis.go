@@ -11,9 +11,9 @@
 //
 // Properties a test can check on running code are left to tests: the
 // reset and cache-key field coverage, for instance, are reflection
-// tests built on internal/statecheck, and the monotone, conserved
-// traffic counters are internal/hierarchy's audit mode (Auditor), wired
-// to sim.Config.AuditEvery and `tlasim -audit N`.
+// tests built on internal/statecheck, and the hierarchy's traffic
+// counters are checked after every access against a reference
+// hierarchy run in lockstep (internal/hierarchy/oracle_test.go).
 package analysis
 
 import (

@@ -77,7 +77,10 @@ type Cache struct {
 
 	// Struct-of-arrays line state, indexed set*assoc+way. tags holds
 	// the line-aligned address of a resident line or invalidTag for an
-	// empty way; flags carries the dirty bit and is zero for empty ways.
+	// empty way; flags carries a resident line's dirty bit. An empty
+	// way's flags and presence may hold a departed line's values:
+	// nothing reads them, since validity comes from the tag alone and
+	// FillWay overwrites both.
 	tags     []uint64
 	flags    []uint8
 	presence []uint64 // nil until the first non-zero presence write
@@ -324,10 +327,7 @@ func (c *Cache) Invalidate(addr uint64) (line Line, ok bool) {
 func (c *Cache) InvalidateAt(set, way int) Line {
 	i := set*c.assoc + way
 	line := Line{Addr: c.tags[i], Valid: true, Dirty: c.flags[i]&flagDirty != 0, Presence: c.presenceAtIndex(i)}
-	c.tags[i], c.flags[i] = invalidTag, 0
-	if c.presence != nil {
-		c.presence[i] = 0
-	}
+	c.tags[i] = invalidTag
 	c.policy.Demote(set, way)
 	c.Stats.Invalidations++
 	return line

@@ -128,18 +128,25 @@ func TestFillPrefersInvalidWays(t *testing.T) {
 
 func TestInvalidateFreesWayForReuse(t *testing.T) {
 	c := tiny(t, 64*2, 2, replacement.LRU)
-	c.Fill(0x0, 0)
+	c.Fill(0x0, 0b01)
+	c.SetDirty(0x0)
 	c.Fill(0x40, 0)
 	line, ok := c.Invalidate(0x0)
-	if !ok || line.Addr != 0x0 {
-		t.Fatalf("Invalidate returned %+v, %v", line, ok)
+	if want := (Line{Addr: 0x0, Valid: true, Dirty: true, Presence: 0b01}); !ok || line != want {
+		t.Fatalf("Invalidate returned %+v, %v; want %+v", line, ok, want)
 	}
 	if c.Stats.Invalidations != 1 {
 		t.Fatalf("Invalidations = %d", c.Stats.Invalidations)
 	}
-	// Next fill must reuse the hole rather than evicting 0x40.
-	if _, evicted := c.Fill(0x80, 0); evicted {
+	// Next fill must reuse the hole rather than evicting 0x40, and the
+	// refilled way must carry only the fill's state: a clean line with
+	// the fill's presence mask, nothing of the dirty line that left.
+	if _, evicted := c.Fill(0x80, 0b10); evicted {
 		t.Fatal("fill evicted a valid line while an invalid way existed")
+	}
+	set, way, ok := c.Lookup(0x80)
+	if want := (Line{Addr: 0x80, Valid: true, Presence: 0b10}); !ok || c.Line(set, way) != want {
+		t.Fatalf("refilled way holds %+v, want %+v", c.Line(set, way), want)
 	}
 	if !c.Contains(0x40) {
 		t.Fatal("line 0x40 lost")

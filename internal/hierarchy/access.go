@@ -586,8 +586,7 @@ func (h *Hierarchy) evictLLCLine(victim cache.Line) int {
 	}
 	if h.vc != nil {
 		h.Traffic.VictimCacheFills++
-		if evAddr, evDirty, evicted := h.vc.insert(victim.Addr, dirty); evicted && evDirty {
-			_ = evAddr
+		if _, evDirty, evicted := h.vc.insert(victim.Addr, dirty); evicted && evDirty {
 			h.Traffic.WritebacksToMem++
 		}
 		return victims

@@ -5,66 +5,40 @@ import (
 	"testing"
 )
 
-// driveAudited runs a deterministic access stream against h, auditing
-// every `every` accesses, and returns the first audit error.
-func driveAudited(h *Hierarchy, a *Auditor, accesses, every int) error {
-	x := uint64(0x2545F4914F6CDD1D)
-	for i := 0; i < accesses; i++ {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		h.Access(int(x%2), AccessKind(x>>8)%3, (x>>16)%(64<<10))
-		if (i+1)%every == 0 {
-			if err := a.Audit(); err != nil {
-				return err
-			}
-		}
-	}
-	return a.Audit()
-}
-
-// TestAuditorCleanAcrossPolicies runs the full audit (structural
-// invariants, cache consistency, monotonicity, conservation) throughout
-// stressed runs of every policy and inclusion mode: a correct hierarchy
-// must never trip it.
+// TestAuditorCleanAcrossPolicies runs every policy and inclusion mode,
+// with the prefetcher on, through 20,000 random accesses over a 64 KB
+// footprint in lockstep with the reference hierarchy (which checks the
+// full state every checkEvery accesses): a correct hierarchy never
+// disagrees.
 func TestAuditorCleanAcrossPolicies(t *testing.T) {
-	cases := []struct {
-		name string
-		mut  func(*Config)
-	}{
-		{"baseline", func(*Config) {}},
-		{"tlh", func(c *Config) { c.TLA = TLATLH }},
-		{"eci", func(c *Config) { c.TLA = TLAECI }},
-		{"qbs", func(c *Config) { c.TLA = TLAQBS }},
-		{"non-inclusive", func(c *Config) { c.Inclusion = NonInclusive }},
-		{"exclusive", func(c *Config) { c.Inclusion = Exclusive }},
-	}
-	for _, tc := range cases {
+	for _, tc := range lockstepConfigs()[:6] { // the six machine modes
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := smallConfig(2)
+			cfg := tc.cfg
 			cfg.EnablePrefetch = true
-			tc.mut(&cfg)
-			h := MustNew(cfg)
-			a := NewAuditor(h)
-			if err := driveAudited(h, a, 20_000, 500); err != nil {
-				t.Fatal(err)
+			ls := newLockstep(t, cfg, false)
+			x := xorshift(0x2545F4914F6CDD1D)
+			for range 20_000 {
+				v := x.next()
+				if err := ls.access(int(v%2), AccessKind(v>>8)%3, (v>>16)%(64<<10)); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if a.Audits == 0 {
-				t.Fatal("no audits completed")
+			if err := ls.check(); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
 }
 
-// corruption cases: each injects one specific fault into a healthy
-// hierarchy and expects the auditor to name it.
-func auditError(t *testing.T, err error, want string) {
+// Corruption cases: each plants one fault in a hierarchy running in
+// lockstep and requires the lockstep check to name it.
+func lockstepError(t *testing.T, err error, want string) {
 	t.Helper()
 	if err == nil {
-		t.Fatalf("audit accepted corrupted hierarchy, want error mentioning %q", want)
+		t.Fatalf("lockstep accepted a corrupted hierarchy, want an error naming %q", want)
 	}
 	if !strings.Contains(err.Error(), want) {
-		t.Fatalf("audit error %q does not mention %q", err, want)
+		t.Fatalf("lockstep error %q does not name %q", err, want)
 	}
 }
 
@@ -72,47 +46,47 @@ func auditError(t *testing.T, err error, want string) {
 // does not hold — the exact corruption a back-invalidation bug would
 // produce.
 func TestAuditorDetectsInclusionBreach(t *testing.T) {
-	h := MustNew(smallConfig(2))
-	a := NewAuditor(h)
-	h.L1D(0).Fill(0x4_0000, 0)
-	auditError(t, a.Audit(), "inclusion violated")
+	ls := newLockstep(t, smallConfig(2), false)
+	ls.h.L1D(0).Fill(0x4_0000, 0)
+	lockstepError(t, ls.check(), "inclusion violated")
 }
 
 // TestAuditorDetectsDuplicateLine plants the same address in two ways
 // of one LLC set.
 func TestAuditorDetectsDuplicateLine(t *testing.T) {
-	h := MustNew(smallConfig(2))
-	h.Access(0, Load, 0)
-	llc := h.LLC()
+	ls := newLockstep(t, smallConfig(2), false)
+	if err := ls.access(0, Load, 0); err != nil {
+		t.Fatal(err)
+	}
+	llc := ls.h.LLC()
 	set, way, ok := llc.Lookup(0)
 	if !ok {
 		t.Fatal("accessed line missing from LLC")
 	}
 	llc.FillWay(set, (way+1)%llc.Config().Assoc, 0, llc.Presence(0))
-	a := NewAuditor(h)
-	auditError(t, a.Audit(), "duplicated")
+	lockstepError(t, ls.check(), "duplicated")
 }
 
-// TestAuditorDetectsCounterRollback decrements a traffic counter
-// between audits.
+// TestAuditorDetectsCounterRollback decrements a traffic counter after
+// a stream of misses.
 func TestAuditorDetectsCounterRollback(t *testing.T) {
-	h := MustNew(smallConfig(2))
+	ls := newLockstep(t, smallConfig(2), false)
 	for addr := uint64(0); addr < 64<<10; addr += 64 {
-		h.Access(0, Load, addr)
+		if err := ls.access(0, Load, addr); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if h.Traffic.MemoryReads == 0 {
+	if ls.h.Traffic.MemoryReads == 0 {
 		t.Fatal("stream produced no memory reads")
 	}
-	a := NewAuditor(h)
-	h.Traffic.MemoryReads--
-	auditError(t, a.Audit(), "went backwards")
+	ls.h.Traffic.MemoryReads--
+	lockstepError(t, ls.check(), "Traffic.MemoryReads")
 }
 
 // TestAuditorDetectsConservationViolation fabricates a QBS save with
 // no corresponding query.
 func TestAuditorDetectsConservationViolation(t *testing.T) {
-	h := MustNew(smallConfig(2))
-	a := NewAuditor(h)
-	h.Traffic.QBSSaves++
-	auditError(t, a.Audit(), "conservation violated")
+	ls := newLockstep(t, smallConfig(2), false)
+	ls.h.Traffic.QBSSaves++
+	lockstepError(t, ls.check(), "Traffic.QBSSaves")
 }

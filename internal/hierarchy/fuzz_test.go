@@ -3,14 +3,14 @@ package hierarchy
 import (
 	"encoding/binary"
 	"testing"
-
-	"tlacache/internal/telemetry"
 )
 
-// FuzzHierarchyAccess drives a hierarchy with an arbitrary access
-// stream under a fuzzer-chosen machine mode and audits continuously:
-// no input sequence may ever corrupt inclusion, cache structure, or
-// counter accounting.
+// FuzzHierarchyAccess drives a hierarchy and the reference hierarchy in
+// lockstep with an arbitrary access stream on a fuzzer-chosen machine
+// from lockstepConfigs (the mode byte's low six bits; bit 6 turns the
+// prefetcher on): no input sequence may make them disagree, or corrupt
+// inclusion or cache structure. Instruction fetches go through the
+// ifetch memo first, as the simulator makes them.
 func FuzzHierarchyAccess(f *testing.F) {
 	seed := make([]byte, 64)
 	for i := range seed {
@@ -30,24 +30,11 @@ func FuzzHierarchyAccess(f *testing.F) {
 		f.Add(topSeed, mode)
 	}
 
+	configs := lockstepConfigs()
 	f.Fuzz(func(t *testing.T, data []byte, mode byte) {
-		cfg := smallConfig(2)
-		switch mode % 6 {
-		case 1:
-			cfg.TLA = TLATLH
-		case 2:
-			cfg.TLA = TLAECI
-		case 3:
-			cfg.TLA = TLAQBS
-		case 4:
-			cfg.Inclusion = NonInclusive
-		case 5:
-			cfg.Inclusion = Exclusive
-		}
-		cfg.EnablePrefetch = mode&0x40 != 0
-		h := MustNew(cfg)
-		h.SetTelemetry(telemetry.NewRecorder(0))
-		a := NewAuditor(h)
+		cfg := configs[int(mode&0x3f)%len(configs)].cfg
+		cfg.EnablePrefetch = cfg.EnablePrefetch || mode&0x40 != 0
+		ls := newLockstep(t, cfg, mode&0x80 != 0)
 
 		for i := 0; i+4 <= len(data); i += 4 {
 			op := binary.LittleEndian.Uint32(data[i:])
@@ -58,14 +45,18 @@ func FuzzHierarchyAccess(f *testing.F) {
 				// indexing get exercised at the overflow boundary.
 				addr = ^uint64(0) - addr
 			}
-			h.Access(int(op%2), AccessKind(op>>2)%3, addr)
-			if i%256 == 252 {
-				if err := a.Audit(); err != nil {
-					t.Fatal(err)
-				}
+			core, kind := int(op>>24)%cfg.Cores, AccessKind(op>>2)%3
+			var err error
+			if kind == IFetch {
+				err = ls.fetch(core, addr)
+			} else {
+				err = ls.access(core, kind, addr)
+			}
+			if err != nil {
+				t.Fatal(err)
 			}
 		}
-		if err := a.Audit(); err != nil {
+		if err := ls.check(); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -1,10 +1,6 @@
 package hierarchy
 
-import (
-	"testing"
-
-	"tlacache/internal/telemetry"
-)
+import "testing"
 
 // vcOrder returns the victim cache's addresses MRU-first.
 func vcOrder(v *victimCache) []uint64 {
@@ -115,16 +111,15 @@ func TestVictimCacheCapacityOne(t *testing.T) {
 
 // TestVictimCacheUnderAuditor drives a hierarchy with an attached
 // victim cache through enough conflict traffic to fill, hit, and spill
-// it, auditing structural and counter invariants throughout. The victim
-// cache sits outside the inclusion property (its lines are by
-// definition no longer in the LLC), so the auditor must stay green
-// while lines migrate LLC -> victim cache -> LLC.
+// it, in lockstep with the reference hierarchy and checking the full
+// state every 16 accesses. The victim cache sits outside the inclusion
+// property (its lines are by definition no longer in the LLC), so the
+// check must stay green while lines migrate LLC -> victim cache -> LLC.
 func TestVictimCacheUnderAuditor(t *testing.T) {
 	cfg := smallConfig(2)
 	cfg.VictimCacheEntries = 32 // the paper's §VI configuration
-	h := MustNew(cfg)
-	h.SetTelemetry(telemetry.NewRecorder(0))
-	a := NewAuditor(h)
+	ls := newLockstep(t, cfg, false)
+	h := ls.h
 
 	// Cyclically walk more lines than the 64-line LLC holds. Each access
 	// past capacity evicts a line into the victim cache; with an 80-line
@@ -133,9 +128,11 @@ func TestVictimCacheUnderAuditor(t *testing.T) {
 	const lines = 80
 	for pass := 0; pass < 3; pass++ {
 		for i := 0; i < lines; i++ {
-			h.Access(i%2, Load, uint64(i)*64)
+			if err := ls.access(i%2, Load, uint64(i)*64); err != nil {
+				t.Fatal(err)
+			}
 			if i%16 == 15 {
-				if err := a.Audit(); err != nil {
+				if err := ls.check(); err != nil {
 					t.Fatalf("pass %d line %d: %v", pass, i, err)
 				}
 			}
@@ -147,7 +144,7 @@ func TestVictimCacheUnderAuditor(t *testing.T) {
 	if h.Traffic.VictimCacheHits == 0 {
 		t.Fatal("rewalks never hit the victim cache")
 	}
-	if err := a.Audit(); err != nil {
+	if err := ls.check(); err != nil {
 		t.Fatal(err)
 	}
 

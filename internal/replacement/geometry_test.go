@@ -49,7 +49,7 @@ func TestLRUWayLimit(t *testing.T) {
 	}
 }
 
-// TestLRUCheckSetDetectsCorruption verifies the audit hook actually
+// TestLRUCheckSetDetectsCorruption verifies CheckSet actually
 // distinguishes a healthy stack from a corrupted one.
 func TestLRUCheckSetDetectsCorruption(t *testing.T) {
 	p := newLRU(2, 4)

@@ -133,8 +133,7 @@ func TestLRUMatchesReferenceModel(t *testing.T) {
 
 // TestLRUStackIsPermutation checks the internal state remains a valid
 // permutation of the ways under random operations, in both
-// representations, using the same invariants the audit-mode CheckSet
-// enforces.
+// representations, using the same invariants CheckSet enforces.
 func TestLRUStackIsPermutation(t *testing.T) {
 	for _, assoc := range []int{8, 20} {
 		assoc := assoc

@@ -113,8 +113,9 @@ type Policy interface {
 	// the policy has no per-way order.
 	WayRank(set, way int) uint8
 	// CheckSet returns an error when set's replacement metadata is
-	// internally inconsistent. The audit mode (internal/hierarchy's
-	// Auditor) calls it for every set while a simulation runs.
+	// internally inconsistent. cache.CheckConsistency calls it for
+	// every set, which the hierarchy's lockstep test does throughout
+	// its runs.
 	CheckSet(set int) error
 	// ResetState returns the policy to its freshly constructed state in
 	// place, so warmup resets and pooled reuse do not reallocate

@@ -88,7 +88,7 @@ func TestCheckResetStateDetectsResidue(t *testing.T) {
 	}
 }
 
-// TestCheckSetCoverage verifies every policy's audit hook passes on
+// TestCheckSetCoverage verifies every policy's CheckSet passes on
 // well-formed metadata after a mixed workload.
 func TestCheckSetCoverage(t *testing.T) {
 	const numSets, assoc = 16, 8

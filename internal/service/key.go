@@ -24,12 +24,11 @@ const KeyVersion = "v1"
 //
 // cfg must be the fully resolved sim.Config (policy already applied to
 // the hierarchy); apps is the resolved per-core benchmark list. The
-// observer fields of sim.Config (Telemetry, AuditEvery) are
-// deliberately excluded: they never change simulation results, only
-// what is recorded about them. TestKeyCoversConfig changes every leaf
-// of sim.Config in turn and requires the key to change unless the
-// field is on its exempt list, so a new config field cannot creep in
-// unhashed.
+// observer field of sim.Config (Telemetry) is deliberately excluded: it
+// never changes simulation results, only what is recorded about them.
+// TestKeyCoversConfig changes every leaf of sim.Config in turn and
+// requires the key to change unless the field is on its exempt list,
+// so a new config field cannot creep in unhashed.
 func Key(cfg sim.Config, apps []string, policy string, seed uint64) string {
 	sum := sha256.Sum256([]byte(canonical(cfg, apps, policy, seed)))
 	return KeyVersion + ":" + hex.EncodeToString(sum[:])

@@ -73,10 +73,9 @@ func TestKeyCanonicalGolden(t *testing.T) {
 // keyExempt names the sim.Config leaves that deliberately stay out of
 // the key, each with the reason it cannot change a cached result.
 var keyExempt = map[string]string{
-	"Seed":       "hashed via Key's explicit seed argument, which overrides this field",
-	"AuditEvery": "debug-only audit mode; aborts on violation, never changes results",
-	"Telemetry":  "pure observer; never changes simulation results",
-	"Epoch":      "result-invariant batching knob; every epoch yields byte-identical manifests (TestEpochInvariance)",
+	"Seed":      "hashed via Key's explicit seed argument, which overrides this field",
+	"Telemetry": "pure observer; never changes simulation results",
+	"Epoch":     "result-invariant batching knob; every epoch yields byte-identical manifests (TestEpochInvariance)",
 }
 
 // TestKeyCoversConfig changes every leaf of sim.Config in turn — the
@@ -156,7 +155,7 @@ func TestKeySensitivity(t *testing.T) {
 	add("latency", Key(c, apps, "baseline", 1))
 }
 
-// Observer fields must NOT perturb the key — they are excluded from
+// The observer field must NOT perturb the key — it is excluded from
 // the canonical form by design.
 func TestKeyIgnoresObservers(t *testing.T) {
 	base := sim.DefaultConfig(2)
@@ -164,11 +163,10 @@ func TestKeyIgnoresObservers(t *testing.T) {
 	ref := Key(base, apps, "baseline", 1)
 
 	c := base
-	c.AuditEvery = 1000
 	c.Telemetry = telemetry.NewRecorder(500)
 	c.Telemetry.Decisions = &telemetry.DecisionLog{}
 	if got := Key(c, apps, "baseline", 1); got != ref {
-		t.Errorf("audit/telemetry observers changed the key: %s != %s", got, ref)
+		t.Errorf("the telemetry observer changed the key: %s != %s", got, ref)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 
+	"tlacache/internal/cache"
+	"tlacache/internal/hierarchy"
 	"tlacache/internal/trace"
 	"tlacache/internal/workload"
 )
@@ -122,13 +124,25 @@ func TestRunIsolationPropagatesErrors(t *testing.T) {
 	}
 }
 
-// TestInvariantEveryRuns audits a healthy run every 1,000 instructions;
-// each audit checks the hierarchy's structural invariants first.
+// TestInvariantEveryRuns runs a 2-core QBS machine and then requires
+// the hierarchy's structural invariants and every cache's
+// self-consistency to hold in the state the run left behind.
 func TestInvariantEveryRuns(t *testing.T) {
 	cfg := quickConfig(2, 20_000)
-	cfg.AuditEvery = 1_000
-	mix := workload.Mix{Name: "inv", Apps: []string{"sje", "lib"}}
-	if _, err := RunMix(cfg, mix); err != nil {
-		t.Fatalf("invariants violated during a healthy run: %v", err)
+	cfg.Hierarchy.TLA = hierarchy.TLAQBS
+	m := freshMachine(t, cfg)
+	runOn(t, cfg, m)
+	h := m.h
+	if err := h.CheckInvariants(); err != nil {
+		t.Fatalf("invariants violated after a healthy run: %v", err)
+	}
+	caches := []*cache.Cache{h.LLC()}
+	for c := 0; c < cfg.Hierarchy.Cores; c++ {
+		caches = append(caches, h.L1I(c), h.L1D(c), h.L2(c))
+	}
+	for _, cc := range caches {
+		if err := cc.CheckConsistency(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -101,10 +101,10 @@ func newMachine(hc hierarchy.Config, cc cpu.Config) (*machine, error) {
 
 // releaseMachine returns a machine to its free list. Only runs that
 // completed successfully release: a machine abandoned mid-run by an
-// audit failure holds the state that produced the failure, and is
-// deliberately left to the garbage collector so it cannot feed a later
-// run. The caller-owned recorder is dropped first so the pool never
-// prolongs its lifetime.
+// error holds the state that produced it, and is deliberately left to
+// the garbage collector so it cannot feed a later run. The
+// caller-owned recorder is dropped first so the pool never prolongs
+// its lifetime.
 func releaseMachine(m *machine) {
 	m.h.SetTelemetry(nil)
 	machinePool.Lock()

@@ -279,17 +279,15 @@ func TestPooledRunRepeatability(t *testing.T) {
 }
 
 // epochManifest runs one batch covering every boundary the burst-sizing
-// logic caps against — sampling intervals, audits, the budget crossing,
-// and a finished fast core running past its budget — and returns
-// everything observable: results, the interval series, and the
-// telemetry summary.
+// logic caps against — sampling intervals, the budget crossing, and a
+// finished fast core running past its budget — and returns everything
+// observable: results, the interval series, and the telemetry summary.
 func epochManifest(t *testing.T, epoch uint64) []byte {
 	t.Helper()
 	cfg := quickConfig(2, 30_000)
 	cfg.Epoch = epoch
 	cfg.Hierarchy.TLA = hierarchy.TLAQBS
-	// Deliberately awkward divisors so boundaries land mid-epoch.
-	cfg.AuditEvery = 9_973
+	// A deliberately awkward divisor so boundaries land mid-epoch.
 	cfg.Telemetry = telemetry.NewRecorder(5_003)
 
 	res, err := RunMix(cfg, workload.Mix{Name: "EPOCH", Apps: []string{"sje", "lib"}})

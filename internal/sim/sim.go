@@ -40,13 +40,6 @@ type Config struct {
 	// Seed diversifies the synthetic streams; a mix is reproducible
 	// given (Config, Mix).
 	Seed uint64
-	// AuditEvery, when positive, runs a full hierarchy audit
-	// (hierarchy.Auditor: structural invariants, per-cache consistency,
-	// counter monotonicity and conservation) every AuditEvery committed
-	// instructions of the measurement window and aborts the run on a
-	// violation, reporting the seed that reproduces it. Meant for
-	// debugging and the test suite; exposed as `tlasim -audit N`.
-	AuditEvery uint64
 	// Telemetry, when non-nil, observes the measurement window: it is
 	// attached after the warmup counter reset, so — like Traffic — it
 	// covers the post-budget execution of fast cores, and receives the
@@ -285,7 +278,6 @@ func runMachine(cfg Config, m *machine, streams []trace.Generator) error {
 	// slowest one arrives; onBudget fires once per core at the
 	// crossing.
 	var total uint64
-	var auditor *hierarchy.Auditor // armed after warmup, when AuditEvery > 0
 	run := func(budget uint64, onBudget func(core int)) error {
 		remaining := n
 		for remaining > 0 {
@@ -294,17 +286,17 @@ func runMachine(cfg Config, m *machine, streams []trace.Generator) error {
 			c, runner := nextCore(clocks)
 			// Epoch-batched execution: core c bursts up to `epoch`
 			// instructions with only the cycle comparison inside the
-			// tight loop; the sample/audit/budget modulo checks move
-			// to the burst boundary. Exactness argument: each boundary
-			// check fires on an exact instruction count, so the burst
-			// is capped at the distance to every upcoming boundary — a
-			// boundary can then only land exactly on a burst end, where
-			// the post-burst checks below observe it under the same
-			// conditions, in the same order (sample → audit → budget),
-			// the per-instruction loop checked them. A burst that
-			// breaks early on the cycle condition stops short of every
-			// boundary, so the post-burst modulo checks correctly stay
-			// silent; the instruction-level schedule itself is
+			// tight loop; the sample/budget modulo checks move to the
+			// burst boundary. Exactness argument: each boundary check
+			// fires on an exact count of core c's instructions, so the
+			// burst is capped at the distance to every upcoming
+			// boundary — a boundary can then only land exactly on a
+			// burst end, where the post-burst checks below observe it
+			// under the same conditions, in the same order (sample →
+			// budget), the per-instruction loop checked them. A burst
+			// that breaks early on the cycle condition stops short of
+			// every boundary, so the post-burst modulo checks correctly
+			// stay silent; the instruction-level schedule itself is
 			// unchanged because the break condition holds exactly when
 			// a per-instruction pick would choose another core. Every
 			// cap is a distance to a boundary strictly ahead, so b >= 1
@@ -318,11 +310,6 @@ func runMachine(cfg Config, m *machine, streams []trace.Generator) error {
 					if d := every - committed[c]%every; d < b {
 						b = d
 					}
-				}
-			}
-			if auditor != nil {
-				if d := cfg.AuditEvery - total%cfg.AuditEvery; d < b {
-					b = d
 				}
 			}
 			core, cf := cores[c], &feed.cores[c]
@@ -357,12 +344,6 @@ func runMachine(cfg Config, m *machine, streams []trace.Generator) error {
 			if every > 0 && !finished[c] && committed[c]%every == 0 {
 				sample(c)
 			}
-			if auditor != nil && total%cfg.AuditEvery == 0 {
-				if err := auditor.Audit(); err != nil {
-					return fmt.Errorf("sim: after %d instructions (reproduce with -seed %d): %w",
-						total, cfg.Seed, err)
-				}
-			}
 			if !finished[c] && committed[c] == budget {
 				finished[c] = true
 				remaining--
@@ -396,12 +377,6 @@ func runMachine(cfg Config, m *machine, streams []trace.Generator) error {
 	}
 	h.SetTelemetry(cfg.Telemetry)
 	every = cfg.Telemetry.Every()
-	if cfg.AuditEvery > 0 {
-		// The auditor baselines here — right where the counters'
-		// measurement window starts — so its conservation deltas cover
-		// exactly the measured traffic.
-		auditor = hierarchy.NewAuditor(h)
-	}
 	if err := run(cfg.Instructions, func(c int) {
 		if every > 0 {
 			// Flush the final (possibly partial) interval exactly at the
