@@ -1,11 +1,10 @@
 // Command tlavet is the TLA simulator's domain-aware static analyzer.
 // It loads the module with the standard library's go/parser and
 // go/types (no external dependencies) and runs checks for properties
-// the type system cannot express but the paper's results depend on:
+// the type system cannot express but the paper's results depend on.
+// It has four rules:
 //
 //	floatcmp        no ==/!= on floats in metrics/experiments
-//	hotpath         no heap allocation reachable from //tlavet:hotpath
-//	                roots (interprocedural, call chains in findings)
 //	lockdiscipline  runner/telemetry/service/sim/decision: field
 //	                writes hold the owning mutex, no sends under a lock
 //	detflow         no nondeterministic value or ordering flows into a
@@ -20,7 +19,7 @@
 //
 //	tlavet ./...                 # analyze the whole module
 //	tlavet ./internal/...        # restrict to a subtree
-//	tlavet -checks hotpath ./...
+//	tlavet -checks detflow,exhaustive ./...
 //	tlavet -json ./...           # findings as a JSON array on stdout
 //	tlavet -sarif ./...          # findings as SARIF 2.1.0 on stdout
 //	tlavet -out findings.json ./...  # text to stdout, JSON to a file

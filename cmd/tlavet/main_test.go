@@ -132,7 +132,7 @@ func TestRunList(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
 		names = append(names, strings.Fields(line)[0])
 	}
-	want := "floatcmp hotpath lockdiscipline detflow exhaustive"
+	want := "floatcmp lockdiscipline detflow exhaustive"
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("-list names %q, want %q", got, want)
 	}
@@ -260,7 +260,7 @@ func Same(a, b float64) bool {
 	}
 	// A filtered run cannot prove a directive unused, and neither can a
 	// run that skipped the directive's check.
-	for _, args := range [][]string{{"./internal/metrics"}, {"-checks", "hotpath", "./..."}} {
+	for _, args := range [][]string{{"./internal/metrics"}, {"-checks", "lockdiscipline", "./..."}} {
 		stdout.Reset()
 		if code := run(append([]string{"-C", dir}, args...), &stdout, &stderr); code != 0 {
 			t.Fatalf("run %v = %d, want 0 (stdout: %s)", args, code, stdout.String())
@@ -278,7 +278,7 @@ func Same(a, b float64) bool {
 }
 `)
 	stdout.Reset()
-	if code := run([]string{"-C", dir, "-checks", "hotpath", "./..."}, &stdout, &stderr); code != 1 {
+	if code := run([]string{"-C", dir, "-checks", "lockdiscipline", "./..."}, &stdout, &stderr); code != 1 {
 		t.Fatalf("unknown-check run = %d, want 1 (stdout: %s)", code, stdout.String())
 	}
 	if !strings.Contains(stdout.String(), "stale //tlavet:allow panicmsg: no registered check has that name") {

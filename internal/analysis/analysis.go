@@ -1,19 +1,21 @@
 // Package analysis is tlavet's engine: a standard-library-only static
 // analyzer (go/parser, go/ast, go/types — no x/tools dependency) that
 // loads the module and runs domain-specific checks over the simulator's
-// source. The checks mechanically enforce properties the Go type system
-// cannot see but the paper's results depend on: byte-identical replays
-// (detflow), a zero-allocation access path (hotpath), sound concurrency
-// in the shared-state packages (lockdiscipline), meaningful metric
-// comparisons (floatcmp), and dispatch that names every variant
-// (exhaustive). A finding is accepted only by a reasoned
-// `//tlavet:allow <check> <reason>` on or above its line.
+// source. The four checks mechanically enforce properties the Go type
+// system cannot see but the paper's results depend on: byte-identical
+// replays (detflow), sound concurrency in the shared-state packages
+// (lockdiscipline), meaningful metric comparisons (floatcmp), and
+// dispatch that names every variant (exhaustive). A finding is accepted
+// only by a reasoned `//tlavet:allow <check> <reason>` on or above its
+// line.
 //
 // Properties a test can check on running code are left to tests: the
 // reset and cache-key field coverage, for instance, are reflection
-// tests built on internal/statecheck, and the hierarchy's traffic
-// counters are checked after every access against a reference
-// hierarchy run in lockstep (internal/hierarchy/oracle_test.go).
+// tests built on internal/statecheck; the hierarchy's traffic counters
+// are checked after every access against a reference hierarchy run in
+// lockstep (internal/hierarchy/oracle_test.go); and the zero-allocation
+// access path is an exact count of heap allocations over every
+// lockstep machine once warm (internal/hierarchy/alloc_test.go).
 package analysis
 
 import (
@@ -35,13 +37,13 @@ type Diagnostic struct {
 	Analyzer   string `json:"analyzer"`
 	Message    string `json:"message"`
 	Suggestion string `json:"suggestion,omitempty"`
-	// Chain, set by interprocedural analyzers, is the call path from an
-	// annotated root to the function containing the finding, root first.
+	// Chain, set by interprocedural analyzers, is the call path from the
+	// function containing the finding to an annotated sink, sink last.
 	Chain []string `json:"chain,omitempty"`
 }
 
 // String renders the diagnostic in the conventional compiler format.
-// Interprocedural findings append their root→site call chain.
+// Interprocedural findings append their call chain.
 func (d Diagnostic) String() string {
 	s := fmt.Sprintf("%s:%d:%d: %s: %s", d.File, d.Line, d.Col, d.Analyzer, d.Message)
 	if d.Suggestion != "" {
@@ -109,8 +111,8 @@ type ModulePass struct {
 	allows allowIndex
 }
 
-// Report records a finding at pos, carrying the analyzer's root→site
-// call chain, unless a `//tlavet:allow` directive suppresses it.
+// Report records a finding at pos, carrying the analyzer's call chain,
+// unless a `//tlavet:allow` directive suppresses it.
 func (mp *ModulePass) Report(pos token.Pos, msg, suggestion string, chain []string) {
 	if mp.allows == nil {
 		var files []*ast.File
@@ -267,7 +269,6 @@ func typeOf(pkg *Package, e ast.Expr) types.Type {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		FloatCmpAnalyzer,
-		HotPathAnalyzer,
 		LockDisciplineAnalyzer,
 		DetflowAnalyzer,
 		ExhaustiveAnalyzer,

@@ -21,7 +21,6 @@ var fixtureCases = []struct {
 }{
 	{DetflowAnalyzer, "nondeterminism", "tlacache/internal/sim"},
 	{FloatCmpAnalyzer, "floatcmp", "tlacache/internal/metrics"},
-	{HotPathAnalyzer, "hotpath", "tlacache/internal/hotpath"},
 	{LockDisciplineAnalyzer, "lockdiscipline", "tlacache/internal/runner"},
 	{DetflowAnalyzer, "detflow", "tlacache/internal/detflow"},
 	{ExhaustiveAnalyzer, "exhaustive", "tlacache/internal/exhaustive"},
@@ -195,7 +194,7 @@ func TestSelect(t *testing.T) {
 	if err != nil || len(two) != 2 || two[0].Name != "detflow" || two[1].Name != "floatcmp" {
 		t.Fatalf("Select(detflow, floatcmp) = %v, err %v", two, err)
 	}
-	for _, retired := range []string{"nosuchcheck", "panicmsg", "counterdiscipline", "nondeterminism"} {
+	for _, retired := range []string{"nosuchcheck", "panicmsg", "counterdiscipline", "nondeterminism", "hotpath"} {
 		if _, err := Select(retired); err == nil {
 			t.Fatalf("Select(%s) did not error", retired)
 		}
@@ -216,10 +215,10 @@ func TestDiagnosticString(t *testing.T) {
 func TestAllowDirectiveRequiresReason(t *testing.T) {
 	src := `package p
 
-//tlavet:allow hotpath bounded by construction
+//tlavet:allow detflow the order is sorted before output
 var a = 1
 
-//tlavet:allow hotpath
+//tlavet:allow detflow
 var b = 2
 
 var c = 3 //tlavet:allow lockdiscipline fixture says so
@@ -235,11 +234,11 @@ var c = 3 //tlavet:allow lockdiscipline fixture says so
 		line  int
 		want  bool
 	}{
-		{"hotpath", 4, true},         // line below a reasoned directive
-		{"hotpath", 3, true},         // the directive's own line
-		{"hotpath", 7, false},        // reasonless directive suppresses nothing
+		{"detflow", 4, true},         // line below a reasoned directive
+		{"detflow", 3, true},         // the directive's own line
+		{"detflow", 7, false},        // reasonless directive suppresses nothing
 		{"lockdiscipline", 9, true},  // trailing directive, same line
-		{"hotpath", 9, false},        // wrong check name
+		{"detflow", 9, false},        // wrong check name
 		{"lockdiscipline", 10, true}, // line below a trailing directive is also covered
 	}
 	for _, c := range cases {

@@ -8,11 +8,14 @@ import (
 	"strings"
 )
 
-// This file builds tlavet's module-wide call graph, the substrate of
-// the interprocedural checks. The graph is conservative in the
-// direction the hot-path guarantee needs: an edge is added whenever a
-// call MIGHT reach a function, so reachability over-approximates and a
-// clean report really means clean.
+// This file builds tlavet's module-wide call graph, the foundation of
+// detflow's interprocedural reach: chainsToSinks walks it backwards
+// from the //tlavet:detsink functions, so detflow knows every function
+// that can reach a deterministic-output sink and by which call chain.
+// The graph is conservative in the direction that check needs: an edge
+// is added whenever a call MIGHT reach a function, so the set of
+// sink-reaching functions over-approximates and a clean report really
+// means clean.
 //
 // Resolution covers the three call shapes the simulator uses:
 //
@@ -20,25 +23,23 @@ import (
 //   - interface method calls, resolved by implements-matching: an edge
 //     is added to every method of every named type in the module whose
 //     (pointer) method set satisfies the interface — this is how a call
-//     through replacement.Policy or telemetry.DecisionTracer fans out to
-//     the concrete implementations;
+//     through telemetry.DecisionTracer fans out to the decision-trace
+//     writers, which are sinks;
 //   - function literals, whose bodies are attributed to the enclosing
 //     declared function (a closure runs at most where its creator could
-//     run, so this keeps reachability conservative without modelling
+//     run, so this keeps the graph conservative without modelling
 //     function values).
 //
 // Calls through function-typed variables other than literals (stored
-// callbacks) are not resolved; the simulator's hot path has none, and
-// the escape scanner independently flags closure creation on hot paths
-// so a callback cannot silently smuggle an allocation in. To keep that
-// gap from hiding hand-offs, a REFERENCE edge is added whenever a
-// function or method name is mentioned in non-call position (a method
-// value stored in a variable, a function passed as an argument, a
-// generic function instantiated for later use): if F references G, G is
-// treated as callable wherever F runs. Reference-only targets are also
-// recorded per node (cgNode.refs) so detflow can attribute dynamic
-// calls inside nondeterministic regions to the functions the enclosing
-// body actually took a reference to.
+// callbacks) are not resolved. To keep that gap from hiding hand-offs,
+// a REFERENCE edge is added whenever a function or method name is
+// mentioned in non-call position (a method value stored in a variable,
+// a function passed as an argument, a generic function instantiated
+// for later use): if F references G, G is treated as callable wherever
+// F runs. Reference-only targets are also recorded per node
+// (cgNode.refs) so detflow can attribute dynamic calls inside
+// nondeterministic regions to the functions the enclosing body
+// actually took a reference to.
 
 // callSite is one resolved call edge.
 type callSite struct {
@@ -272,7 +273,7 @@ func methodByName(named *types.Named, name string) *types.Func {
 	return nil
 }
 
-// displayName renders fn for call chains and root lists:
+// displayName renders fn for call chains:
 // "pkg.Func" for package functions, "pkg.Recv.Method" for methods.
 func displayName(fn *types.Func) string {
 	pkg := ""
@@ -291,43 +292,6 @@ func displayName(fn *types.Func) string {
 	return pkg + fn.Name()
 }
 
-// reachableFrom runs a multi-source BFS from roots and returns, for
-// every reachable node, the shortest root→node call path (root first,
-// node last, rendered with displayName). Iteration order is made
-// deterministic by sorting each frontier.
-func (g *callGraph) reachableFrom(roots []*types.Func) map[*cgNode][]string {
-	chains := make(map[*cgNode][]string)
-	frontier := make([]*cgNode, 0, len(roots))
-	seen := make(map[*cgNode]bool)
-	for _, r := range roots {
-		if n := g.nodes[canonical(r)]; n != nil && !seen[n] {
-			seen[n] = true
-			chains[n] = []string{displayName(n.fn)}
-			frontier = append(frontier, n)
-		}
-	}
-	sortNodes(frontier)
-	for len(frontier) > 0 {
-		var next []*cgNode
-		for _, n := range frontier {
-			for _, cs := range n.calls {
-				cn := g.nodes[cs.callee]
-				if cn == nil || seen[cn] {
-					continue
-				}
-				seen[cn] = true
-				chain := make([]string, len(chains[n]), len(chains[n])+1)
-				copy(chain, chains[n])
-				chains[cn] = append(chain, displayName(cn.fn))
-				next = append(next, cn)
-			}
-		}
-		sortNodes(next)
-		frontier = next
-	}
-	return chains
-}
-
 func sortNodes(ns []*cgNode) {
 	sort.Slice(ns, func(i, j int) bool {
 		a, b := displayName(ns[i].fn), displayName(ns[j].fn)
@@ -338,13 +302,9 @@ func sortNodes(ns []*cgNode) {
 	})
 }
 
-// directiveHotPath is the annotation marking a zero-allocation root;
-// directiveDetSink marks a deterministic-output sink (a function whose
-// output bytes are part of the byte-determinism contract).
-const (
-	directiveHotPath = "//tlavet:hotpath"
-	directiveDetSink = "//tlavet:detsink"
-)
+// directiveDetSink marks a deterministic-output sink: a function whose
+// output bytes are part of the byte-determinism contract.
+const directiveDetSink = "//tlavet:detsink"
 
 // hasDirective reports whether a comment group carries the given
 // bare annotation on a line of its own.
@@ -360,13 +320,14 @@ func hasDirective(doc *ast.CommentGroup, directive string) bool {
 	return false
 }
 
-// annotatedRoots collects the module's functions annotated with the
+// annotatedFuncs collects the module's functions annotated with the
 // given directive: function declarations whose doc comment contains it,
 // plus — for annotated interface methods — every module method that
-// implements the annotated interface (the paper-facing case: annotating
-// replacement.Policy's Touch ropes in every concrete policy's Touch).
-func (g *callGraph) annotatedRoots(directive string) []*types.Func {
-	var roots []*types.Func
+// implements the annotated interface (annotating
+// telemetry.DecisionTracer's Decision would take in every tracer's
+// Decision).
+func (g *callGraph) annotatedFuncs(directive string) []*types.Func {
+	var fns []*types.Func
 	for _, pkg := range g.module.Pkgs {
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
@@ -376,33 +337,28 @@ func (g *callGraph) annotatedRoots(directive string) []*types.Func {
 						continue
 					}
 					if fn, ok := pkg.Info.Defs[d.Name].(*types.Func); ok {
-						roots = append(roots, canonical(fn))
+						fns = append(fns, canonical(fn))
 					}
 				case *ast.GenDecl:
-					roots = append(roots, g.interfaceRoots(pkg, d, directive)...)
+					fns = append(fns, g.annotatedMethods(pkg, d, directive)...)
 				}
 			}
 		}
 	}
-	sort.Slice(roots, func(i, j int) bool {
-		a, b := displayName(roots[i]), displayName(roots[j])
+	sort.Slice(fns, func(i, j int) bool {
+		a, b := displayName(fns[i]), displayName(fns[j])
 		if a != b {
 			return a < b
 		}
-		return roots[i].Pos() < roots[j].Pos()
+		return fns[i].Pos() < fns[j].Pos()
 	})
-	return roots
+	return fns
 }
 
-// hotPathRoots collects the module's `//tlavet:hotpath` roots.
-func (g *callGraph) hotPathRoots() []*types.Func {
-	return g.annotatedRoots(directiveHotPath)
-}
-
-// interfaceRoots expands directive annotations on interface method
+// annotatedMethods expands directive annotations on interface method
 // declarations into the concrete implementing methods.
-func (g *callGraph) interfaceRoots(pkg *Package, d *ast.GenDecl, directive string) []*types.Func {
-	var roots []*types.Func
+func (g *callGraph) annotatedMethods(pkg *Package, d *ast.GenDecl, directive string) []*types.Func {
+	var fns []*types.Func
 	for _, spec := range d.Specs {
 		ts, ok := spec.(*ast.TypeSpec)
 		if !ok {
@@ -424,18 +380,17 @@ func (g *callGraph) interfaceRoots(pkg *Package, d *ast.GenDecl, directive strin
 			if !hasDirective(field.Doc, directive) || len(field.Names) == 0 {
 				continue
 			}
-			roots = append(roots, g.implementers(iface, field.Names[0].Name)...)
+			fns = append(fns, g.implementers(iface, field.Names[0].Name)...)
 		}
 	}
-	return roots
+	return fns
 }
 
 // chainsToSinks runs a reverse multi-source BFS from sinks and returns,
 // for every function that can reach one, the shortest function→sink
 // call path (function first, sink last, rendered with displayName).
-// This is reachableFrom run against the transposed graph: where the
-// hot-path check asks "what can a root reach", the taint check asks
-// "what can reach a sink".
+// It is a breadth-first search of the transposed graph: it asks what
+// can reach a sink.
 func (g *callGraph) chainsToSinks(sinks []*types.Func) map[*cgNode][]string {
 	// Transpose: callee → callers, caller lists sorted for determinism.
 	callers := make(map[*cgNode][]*cgNode)

@@ -66,7 +66,7 @@ func runDetflow(mp *ModulePass) {
 		}
 	}
 	g := buildCallGraph(mp.Module)
-	sinks := g.annotatedRoots(directiveDetSink)
+	sinks := g.annotatedFuncs(directiveDetSink)
 	if len(sinks) == 0 {
 		return
 	}
@@ -81,7 +81,7 @@ func runDetflow(mp *ModulePass) {
 	}
 }
 
-const randSuggestion = "use the repository's deterministic xorshift rng (internal/trace) seeded from the run config"
+const randSuggestion = "use the repository's deterministic SplitMix64 rng (internal/trace) seeded from the run config"
 
 // banSources reports every nondeterministic source in one simulation
 // package: math/rand imports and uses, wall-clock reads, sync.Map

@@ -229,7 +229,6 @@ func (c *Cache) presenceAtIndex(i int) uint64 {
 // ensurePresence allocates the presence array on first use.
 func (c *Cache) ensurePresence() {
 	if c.presence == nil {
-		//tlavet:allow hotpath one-time lazy allocation, amortised to zero over a run
 		c.presence = make([]uint64, c.numLines)
 	}
 }

@@ -134,8 +134,6 @@ func (c *Core) push(p pending) {
 // latency) stalls the front end for the excess. When the instruction
 // carries a data access, memLatency is its latency (0 for none); data
 // accesses with latency above hitLatency become outstanding misses.
-//
-//tlavet:hotpath
 func (c *Core) Instr(fetchLatency, memLatency, hitLatency uint64) {
 	c.seq++
 	c.Stats.Instructions++

@@ -41,8 +41,6 @@ func (h *Hierarchy) dropIFetchMemo(core int, addr uint64) {
 // returned Result feeds the core timing model. With a banked LLC
 // configured, use AccessAt so queueing delays are computed against real
 // time; Access itself treats every access as arriving at cycle 0.
-//
-//tlavet:hotpath
 func (h *Hierarchy) Access(core int, kind AccessKind, addr uint64) Result {
 	return h.AccessAt(core, kind, addr, 0)
 }
@@ -61,8 +59,6 @@ func (h *Hierarchy) Access(core int, kind AccessKind, addr uint64) Result {
 // the memo on an L1I hit and disarms it on a miss. Configurations that
 // never arm the memo (TLH: a hit must still deliver its hint) simply
 // always return false.
-//
-//tlavet:hotpath
 func (h *Hierarchy) IFetchMemoHit(core int, addr uint64) bool {
 	if h.llc.LineAddr(addr) == h.lastILine[core] {
 		h.Cores[core].L1I.Accesses++
@@ -76,8 +72,6 @@ func (h *Hierarchy) IFetchMemoHit(core int, addr uint64) bool {
 // delays. The simulator's min-cycle core interleaving delivers accesses
 // in approximately global time order, which keeps the per-bank
 // next-free-cycle bookkeeping meaningful.
-//
-//tlavet:hotpath
 func (h *Hierarchy) AccessAt(core int, kind AccessKind, addr uint64, now uint64) Result {
 	la := h.llc.LineAddr(addr)
 	cs := &h.Cores[core]
@@ -356,14 +350,6 @@ func (h *Hierarchy) handleL2Victim(core int, victim cache.Line) {
 // path. core identifies the L2 whose eviction is being disposed of
 // (decision traces attribute the choice to it).
 func (h *Hierarchy) insertLLCFromL2(core int, victim cache.Line) {
-	// Guard against the rare duplicate: an L1 writeback can reallocate
-	// a line into the L2 while the LLC already holds a copy.
-	if h.llc.Contains(victim.Addr) {
-		if victim.Dirty {
-			h.llc.SetDirty(victim.Addr)
-		}
-		return
-	}
 	// A line still resident in another core's L2 (a shared line) stays
 	// out of the exclusive LLC; dirty data that has no LLC home goes
 	// straight to memory. Same-core L1 copies may coexist with the LLC
@@ -426,8 +412,6 @@ func (h *Hierarchy) fillLLC(core int, la uint64, dirty bool) {
 // and the way a read-only QBS emulation would suggest. Called only when
 // the recorder traces decisions; the record is handed over after
 // eviction so it can carry the inclusion-victim count.
-//
-//tlavet:hotpath
 func (h *Hierarchy) beginDecision(core, set, way int, la uint64) {
 	d := &h.dec
 	d.Seq++

@@ -27,10 +27,8 @@ package hierarchy
 //     arXiv:2105.14442 studies. A dirty victim updates the LLC copy
 //     when there is one and is written to memory when there is not.
 //   - Exclusive: every victim, clean or dirty, is inserted into the LLC,
-//     which is how an exclusive LLC fills. Two cases stay out: a line
-//     the LLC already holds only merges its dirty bit into that copy,
-//     and a line another core's L2 still holds is not inserted, its
-//     dirty data going to memory.
+//     which is how an exclusive LLC fills. A line another core's L2
+//     still holds is not inserted, its dirty data going to memory.
 //
 // What the lockstep compares. After every access: the Result, the
 // whole Traffic and every core's CoreStats, a difference named field by
@@ -459,10 +457,6 @@ func (o *refHierarchy) l2Victim(v refLine) {
 		}
 	case Exclusive:
 		switch {
-		case o.llc.has(v.addr):
-			if v.dirty {
-				o.llc.setDirty(v.addr)
-			}
 		case o.inAnyL2(v.addr):
 			if v.dirty {
 				o.traffic.WritebacksToMem++
@@ -761,6 +755,15 @@ func (ls *lockstep) compare(core int, kind AccessKind, addr uint64, got Result) 
 	return nil
 }
 
+// drive makes the next n accesses of s on both sides and then
+// compares the full state.
+func (ls *lockstep) drive(s opStream, n int) error {
+	if err := s.run(ls, n); err != nil {
+		return err
+	}
+	return ls.check()
+}
+
 // check compares the counters and then the full state.
 func (ls *lockstep) check() error {
 	if err := ls.checkCounters(); err != nil {
@@ -850,54 +853,94 @@ func (x *xorshift) next() uint64 {
 	return v
 }
 
-// randomOps drives n accesses of random cores, kinds and lines over
+// accessor takes a stream's accesses: the lockstep, or a bare
+// Hierarchy in the allocation gate (alloc_test.go).
+type accessor interface {
+	// access makes one demand access.
+	access(core int, kind AccessKind, addr uint64) error
+	// fetch makes an instruction fetch the way the run loop does.
+	fetch(core int, pc uint64) error
+}
+
+// opStream is a deterministic access stream. Its constructor builds
+// all of its state, so run allocates nothing of its own.
+type opStream interface {
+	// run makes the stream's next n accesses on a.
+	run(a accessor, n int) error
+}
+
+// randomStream makes accesses of random cores, kinds and lines over
 // four times the LLC's capacity, shared by every core; one access in
 // sixteen is mirrored to the top of the address space.
-func randomOps(ls *lockstep, seed uint64, n int) error {
-	cores := uint64(ls.h.cfg.Cores)
-	footprint := uint64(4 * ls.h.cfg.LLCSize)
-	r := xorshift(seed)
+type randomStream struct {
+	r         xorshift
+	cores     uint64
+	footprint uint64
+}
+
+func randomOps(cfg Config, seed uint64) *randomStream {
+	return &randomStream{r: xorshift(seed), cores: uint64(cfg.Cores), footprint: uint64(4 * cfg.LLCSize)}
+}
+
+func (s *randomStream) run(a accessor, n int) error {
 	for range n {
-		x := r.next()
-		addr := x >> 16 % footprint
+		x := s.r.next()
+		addr := x >> 16 % s.footprint
 		if x>>60 == 0 {
 			addr = ^uint64(0) - addr
 		}
-		if err := ls.access(int(x%cores), AccessKind(x>>8%3), addr); err != nil {
+		if err := a.access(int(x%s.cores), AccessKind(x>>8%3), addr); err != nil {
 			return err
 		}
 	}
-	return ls.check()
+	return nil
 }
 
-// fetchOps drives n instructions on random cores. Each core fetches
+// fetchStream makes instructions on random cores. Each core fetches
 // sequentially, 4 bytes at a time, and branches to a random target one
 // instruction in eight, so most fetches repeat the previous fetch's
 // line and meet the ifetch memo; a branch may also move the core's
 // code and data to the top of the address space or back. About one
 // instruction in three also loads or stores.
-func fetchOps(ls *lockstep, seed uint64, n int) error {
-	cores := uint64(ls.h.cfg.Cores)
-	code, data := uint64(2*ls.h.cfg.LLCSize), uint64(4*ls.h.cfg.LLCSize)
-	pcs := make([]uint64, cores)
-	top := make([]bool, cores)
-	place := func(c int, addr uint64) uint64 {
-		if top[c] {
-			return ^uint64(0) - addr
-		}
-		return addr
+type fetchStream struct {
+	r          xorshift
+	cores      uint64
+	code, data uint64
+	pcs        []uint64
+	top        []bool
+}
+
+func fetchOps(cfg Config, seed uint64) *fetchStream {
+	return &fetchStream{
+		r:     xorshift(seed),
+		cores: uint64(cfg.Cores),
+		code:  uint64(2 * cfg.LLCSize),
+		data:  uint64(4 * cfg.LLCSize),
+		pcs:   make([]uint64, cfg.Cores),
+		top:   make([]bool, cfg.Cores),
 	}
-	r := xorshift(seed)
+}
+
+// place mirrors addr to the top of the address space while core c runs
+// there.
+func (s *fetchStream) place(c int, addr uint64) uint64 {
+	if s.top[c] {
+		return ^uint64(0) - addr
+	}
+	return addr
+}
+
+func (s *fetchStream) run(a accessor, n int) error {
 	for range n {
-		x := r.next()
-		c := int(x % cores)
+		x := s.r.next()
+		c := int(x % s.cores)
 		if x>>8%8 == 0 {
-			pcs[c] = x >> 16 % code &^ 3
-			top[c] = top[c] != (x>>60 == 0)
+			s.pcs[c] = x >> 16 % s.code &^ 3
+			s.top[c] = s.top[c] != (x>>60 == 0)
 		} else {
-			pcs[c] = (pcs[c] + 4) % code
+			s.pcs[c] = (s.pcs[c] + 4) % s.code
 		}
-		if err := ls.fetch(c, place(c, pcs[c])); err != nil {
+		if err := a.fetch(c, s.place(c, s.pcs[c])); err != nil {
 			return err
 		}
 		if x>>11%3 == 0 {
@@ -905,12 +948,12 @@ func fetchOps(ls *lockstep, seed uint64, n int) error {
 			if x>>13&1 == 0 {
 				kind = Store
 			}
-			if err := ls.access(c, kind, place(c, x>>32%data)); err != nil {
+			if err := a.access(c, kind, s.place(c, x>>32%s.data)); err != nil {
 				return err
 			}
 		}
 	}
-	return ls.check()
+	return nil
 }
 
 // lockstepCase is one machine the lockstep runs.
@@ -1011,12 +1054,12 @@ func TestLockstep(t *testing.T) {
 			t.Parallel()
 			seed := 0x9E3779B97F4A7C15 ^ uint64(i+1)
 			t.Run("random", func(t *testing.T) {
-				if err := randomOps(newLockstep(t, tc.cfg, true), seed, 20_000); err != nil {
+				if err := newLockstep(t, tc.cfg, true).drive(randomOps(tc.cfg, seed), 20_000); err != nil {
 					t.Fatal(err)
 				}
 			})
 			t.Run("fetch", func(t *testing.T) {
-				if err := fetchOps(newLockstep(t, tc.cfg, false), seed, 20_000); err != nil {
+				if err := newLockstep(t, tc.cfg, false).drive(fetchOps(tc.cfg, seed), 20_000); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -35,9 +35,7 @@ func (v *victimCache) insert(addr uint64, dirty bool) (evAddr uint64, evDirty, e
 		evAddr, evDirty, evicted = v.addrs[last], v.dirty[last], true
 		v.addrs, v.dirty = v.addrs[:last], v.dirty[:last]
 	}
-	//tlavet:allow hotpath capacity-bounded: the append above never exceeds v.capacity after the truncate
 	v.addrs = append(v.addrs, 0)
-	//tlavet:allow hotpath capacity-bounded: same backing array reused once warm
 	v.dirty = append(v.dirty, false)
 	copy(v.addrs[1:], v.addrs)
 	copy(v.dirty[1:], v.dirty)
@@ -50,9 +48,7 @@ func (v *victimCache) remove(addr uint64) (dirty, ok bool) {
 	for i, a := range v.addrs {
 		if a == addr {
 			dirty = v.dirty[i]
-			//tlavet:allow hotpath in-place deletion: appending a sub-slice to its own prefix cannot grow
 			v.addrs = append(v.addrs[:i], v.addrs[i+1:]...)
-			//tlavet:allow hotpath in-place deletion: appending a sub-slice to its own prefix cannot grow
 			v.dirty = append(v.dirty[:i], v.dirty[i+1:]...)
 			return dirty, true
 		}

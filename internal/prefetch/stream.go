@@ -161,7 +161,6 @@ func (s *Streamer) OnMiss(addr uint64, buf []uint64) []uint64 {
 		if next < 0 || uint64(next) > maxLine {
 			break
 		}
-		//tlavet:allow hotpath appends into the caller's reused scratch buffer, bounded by degree
 		buf = append(buf, uint64(next)<<s.offBits)
 		s.Stats.Issued++
 	}

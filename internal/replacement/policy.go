@@ -88,8 +88,6 @@ const RankUnknown uint8 = 0xFF
 type Policy interface {
 	// Touch records a reference to way (a cache hit or an explicit
 	// promotion such as a temporal-locality hint or a QBS save).
-	//
-	//tlavet:hotpath
 	Touch(set, way int)
 	// Insert records that a new line has been filled into way and
 	// initialises its replacement state.
@@ -101,8 +99,6 @@ type Policy interface {
 	// Victim returns the way the policy would evict from set next.
 	// Calling Victim repeatedly without intervening state changes
 	// returns the same way.
-	//
-	//tlavet:hotpath
 	Victim(set int) int
 	// WayRank returns way's eviction-preference rank for decision
 	// tracing: 0 is the most protected way and larger values are closer

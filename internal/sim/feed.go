@@ -70,13 +70,8 @@ type feeder struct {
 	// room for every block plus the stop sentinel, so no send blocks.
 	free chan *block
 
-	// Producer-owned while a run is live. Streams that are
-	// *trace.Synthetic — every stream RunMix and RunIsolation build —
-	// are also held concretely, so their fill loop calls Next directly
-	// and lies inside the allocation gate; other streams are the
-	// caller's code and fill through the interface.
+	// Producer-owned while a run is live.
 	streams []trace.Generator
-	synths  []*trace.Synthetic
 	size    []int // each core's next fill size
 
 	names []string // stream names, read before the producer starts
@@ -98,7 +93,6 @@ func newFeeder(n int) *feeder {
 		cores:   make([]coreFeed, n),
 		free:    make(chan *block, n*feedDepth+1),
 		streams: make([]trace.Generator, n),
-		synths:  make([]*trace.Synthetic, n),
 		size:    make([]int, n),
 		names:   make([]string, n),
 	}
@@ -126,7 +120,6 @@ func (f *feeder) start(streams []trace.Generator) {
 			<-cf.full
 		}
 		f.streams[c] = streams[c]
-		f.synths[c], _ = streams[c].(*trace.Synthetic)
 		f.names[c] = streams[c].Name()
 		f.size[c] = min(feedFirst, len(f.blocks[c].mem))
 		b := &f.blocks[c]
@@ -185,29 +178,10 @@ func (f *feeder) fill(b *block) {
 	n := f.size[c]
 	f.size[c] = min(2*n, len(b.mem))
 	b.buf = b.mem[:n]
-	off := uint64(c) * coreSpacing
-	if g := f.synths[c]; g != nil {
-		fillSynthetic(b.buf, g, off)
-	} else {
-		fillStream(b.buf, f.streams[c], off)
-	}
-}
-
-// fillSynthetic is the producer's fill loop for a synthetic stream.
-//
-//tlavet:hotpath
-func fillSynthetic(buf []trace.Instr, g *trace.Synthetic, off uint64) {
-	for i := range buf {
-		g.Next(&buf[i])
-		shift(&buf[i], off)
-	}
-}
-
-// fillStream is fillSynthetic for any other stream.
-func fillStream(buf []trace.Instr, g trace.Generator, off uint64) {
-	for i := range buf {
-		g.Next(&buf[i])
-		shift(&buf[i], off)
+	g, off := f.streams[c], uint64(c)*coreSpacing
+	for i := range b.buf {
+		g.Next(&b.buf[i])
+		shift(&b.buf[i], off)
 	}
 }
 
@@ -267,7 +241,6 @@ func releaseFeeder(f *feeder) {
 		f.done.Wait()
 	}
 	clear(f.streams)
-	clear(f.synths)
 	n := len(f.cores)
 	feedPool.Lock()
 	if s := feedPool.free[n]; len(s) < maxFree {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"tlacache/internal/runner"
+	"tlacache/internal/statecheck"
 	"tlacache/internal/telemetry"
 	"tlacache/internal/trace"
 	"tlacache/internal/workload"
@@ -175,18 +176,17 @@ func TestRunOwnsStreamsUntilReturn(t *testing.T) {
 	}
 }
 
-// allocsPerRun reports f's mean heap allocations and bytes per call.
+// allocsPerRun calls f once to warm it and then reports the mean heap
+// allocations and bytes of the next runs calls, counted exactly and
+// not truncated.
 func allocsPerRun(runs int, f func()) (allocs, bytes float64) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	f()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(runs),
-		float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+	n, b := statecheck.Allocs(func() {
+		for range runs {
+			f()
+		}
+	})
+	return float64(n) / float64(runs), float64(b) / float64(runs)
 }
 
 // TestFeedAllocsIndependentOfBudget proves the rings are pooled and

@@ -7,7 +7,9 @@
 //
 // Both work on the type as it is declared now: a field added later is
 // checked by the same test with no list to update, which is what lets
-// these tests stand in for static field-coverage proofs.
+// these tests stand in for static field-coverage proofs. Allocs counts
+// the heap allocations of one call exactly, so a test can require a
+// warm path to allocate nothing over a long window.
 package statecheck
 
 import (

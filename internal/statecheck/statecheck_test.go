@@ -149,3 +149,27 @@ func TestLeavesRejectsUnexportedFields(t *testing.T) {
 	}()
 	Leaves(&outer{}, func(string, reflect.Value) {})
 }
+
+// TestAllocsCountsGrowthAMeanTruncates pins why Allocs exists: a slice
+// that grows a little at a time reads as zero allocations per run
+// under testing.AllocsPerRun, and Allocs still counts every growth.
+func TestAllocsCountsGrowthAMeanTruncates(t *testing.T) {
+	var grown []int
+	grow := func() { grown = append(grown, len(grown)) }
+	for range 1000 {
+		grow()
+	}
+	if avg := testing.AllocsPerRun(1000, grow); avg != 0 {
+		t.Fatalf("AllocsPerRun = %v; the premise is a mean that truncates to 0", avg)
+	}
+	if n, b := Allocs(func() {
+		for range 2000 {
+			grow()
+		}
+	}); n == 0 || b == 0 {
+		t.Errorf("Allocs = %d allocations, %d bytes over 2000 appends to a full slice, want both non-zero", n, b)
+	}
+	if n, b := Allocs(func() {}); n != 0 || b != 0 {
+		t.Errorf("Allocs of an empty function = %d allocations, %d bytes, want 0", n, b)
+	}
+}

@@ -68,7 +68,6 @@ type Decision struct {
 // reuses across calls — implementations that retain records must
 // deep-copy them.
 type DecisionTracer interface {
-	//tlavet:hotpath
 	Decision(d *Decision)
 }
 
@@ -155,18 +154,15 @@ func (dw *DecisionWriter) Decision(d *Decision) {
 		return
 	}
 	b := dw.buf[:0]
-	//tlavet:allow hotpath append into preallocated scratch; tracer-attached runs opt out of the zero-alloc contract
 	b = append(b, byte(d.Core))
 	b = binary.AppendUvarint(b, uint64(d.Set))
 	q := byte(noWayByte)
 	if d.QBSWay != NoWay {
 		q = byte(d.QBSWay)
 	}
-	//tlavet:allow hotpath append into preallocated scratch; tracer-attached runs opt out of the zero-alloc contract
 	b = append(b, byte(d.ChosenWay), q)
 	b = binary.AppendUvarint(b, uint64(d.InclusionVictims))
 	b = binary.AppendVarint(b, int64(d.NewAddr)-int64(dw.lastAddr))
-	//tlavet:allow hotpath append into preallocated scratch; tracer-attached runs opt out of the zero-alloc contract
 	b = append(b, byte(len(d.Candidates)))
 	for i := range d.Candidates {
 		c := &d.Candidates[i]
@@ -177,7 +173,6 @@ func (dw *DecisionWriter) Decision(d *Decision) {
 		if c.Dirty {
 			flags |= decFlagDirty
 		}
-		//tlavet:allow hotpath append into preallocated scratch; tracer-attached runs opt out of the zero-alloc contract
 		b = append(b, flags, c.Rank)
 		if c.Valid {
 			b = binary.AppendVarint(b, int64(c.Addr)-int64(d.NewAddr))
@@ -185,7 +180,6 @@ func (dw *DecisionWriter) Decision(d *Decision) {
 		}
 	}
 	if _, err := dw.w.Write(b); err != nil {
-		//tlavet:allow hotpath error formatting on the latched failure path, taken at most once per writer
 		dw.err = fmt.Errorf("telemetry: decision trace write: %w", err)
 	}
 	dw.buf = b[:0]
@@ -245,13 +239,10 @@ func (jw *DecisionJSONLWriter) Decision(d *Decision) {
 	}
 	data, err := json.Marshal(d)
 	if err != nil {
-		//tlavet:allow hotpath error formatting on the latched failure path; JSONL tracing opts out of the zero-alloc contract
 		jw.err = fmt.Errorf("telemetry: decision jsonl encode: %w", err)
 		return
 	}
-	//tlavet:allow hotpath JSON line assembly; JSONL tracing opts out of the zero-alloc contract
 	if _, err := jw.w.Write(append(data, '\n')); err != nil {
-		//tlavet:allow hotpath error formatting on the latched failure path; JSONL tracing opts out of the zero-alloc contract
 		jw.err = fmt.Errorf("telemetry: decision jsonl write: %w", err)
 		return
 	}
@@ -281,9 +272,7 @@ type DecisionLog struct {
 // Decision implements DecisionTracer.
 func (l *DecisionLog) Decision(d *Decision) {
 	cp := *d
-	//tlavet:allow hotpath in-memory record capture; log-attached runs opt out of the zero-alloc contract
 	cp.Candidates = append([]DecisionCandidate(nil), d.Candidates...)
-	//tlavet:allow hotpath in-memory record capture; log-attached runs opt out of the zero-alloc contract
 	l.Records = append(l.Records, cp)
 }
 

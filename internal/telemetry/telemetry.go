@@ -123,7 +123,6 @@ func (r *Recorder) ECIInvalidate(addr uint64) {
 	}
 	r.eciSeq++
 	if len(r.pending) < maxPendingRescues {
-		//tlavet:allow hotpath size-capped rescue-tracking map; Recorder-attached runs opt out of the zero-alloc contract
 		r.pending[addr] = r.eciSeq
 	}
 }

@@ -255,15 +255,15 @@ func (g *Synthetic) Reset() {
 // Next generates the next instruction. Every bounded draw goes through
 // a precomputed divisor (bit-identical to the % it replaces), keeping
 // the per-instruction path free of hardware divides.
-//
-//tlavet:hotpath
 func (g *Synthetic) Next(in *Instr) {
 	// Work on register-local copies of the generator's hot state. The
-	// xorshift chain is a serial dependence; when it lives in g.rng every
-	// draw round-trips through memory (the compiler cannot keep it in a
-	// register across the call because g aliases the receiver of the
-	// inlined rng methods). Draw order and values are untouched — only
-	// where the state lives between draws changes.
+	// RNG is SplitMix64: every draw adds a constant to the state and
+	// mixes the sum, so each draw needs the state the previous one left.
+	// When it lives in g.rng every draw round-trips through memory (the
+	// compiler cannot keep it in a register across the call because g
+	// aliases the receiver of the inlined rng methods). Draw order and
+	// values are untouched — only where the state lives between draws
+	// changes.
 	r := g.rng
 	pc := g.pc
 	in.PC = pc

@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 
+	"tlacache/internal/statecheck"
 	"tlacache/internal/trace"
 )
 
@@ -43,7 +44,12 @@ func TestCategoriesMatchPaper(t *testing.T) {
 	}
 }
 
+// TestProfilesValidateAndGenerate builds every profile's generator and,
+// after a warm-up of 100,000 instructions that must contain memory
+// accesses, requires Next to make exactly zero heap allocations over
+// the next 100,000: the generator runs once per simulated instruction.
 func TestProfilesValidateAndGenerate(t *testing.T) {
+	const window = 100_000
 	for _, b := range All() {
 		if err := b.Profile.Validate(); err != nil {
 			t.Errorf("%s: %v", b.Name, err)
@@ -56,7 +62,7 @@ func TestProfilesValidateAndGenerate(t *testing.T) {
 		}
 		var in trace.Instr
 		mem := 0
-		for i := 0; i < 10000; i++ {
+		for range window {
 			g.Next(&in)
 			if in.Op != trace.OpNone {
 				mem++
@@ -64,6 +70,13 @@ func TestProfilesValidateAndGenerate(t *testing.T) {
 		}
 		if mem == 0 {
 			t.Errorf("%s: produced no memory accesses", b.Name)
+		}
+		if n, bytes := statecheck.Allocs(func() {
+			for range window {
+				g.Next(&in)
+			}
+		}); n != 0 {
+			t.Errorf("%s: Next made %d heap allocations (%d B) in %d warm calls, want 0", b.Name, n, bytes, window)
 		}
 	}
 }
