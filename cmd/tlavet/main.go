@@ -2,31 +2,29 @@
 // It loads the module with the standard library's go/parser and
 // go/types (no external dependencies) and runs checks for properties
 // the type system cannot express but the paper's results depend on.
-// It has four rules:
+// It has three rules:
 //
 //	floatcmp        no ==/!= on floats in metrics/experiments
 //	lockdiscipline  runner/telemetry/service/sim/decision: field
 //	                writes hold the owning mutex, no sends under a lock
-//	detflow         no nondeterministic value or ordering flows into a
-//	                //tlavet:detsink function (interprocedural taint,
-//	                source→sink chains in findings), and no wall clock,
-//	                math/rand or order-dependent map iteration in the
-//	                simulation packages
 //	exhaustive      switches over //tlavet:exhaustive enum types name
 //	                every constant (a default arm does not satisfy)
+//
+// Byte-identical outputs are not a rule: tests produce each output
+// twice and compare the bytes.
 //
 // Usage:
 //
 //	tlavet ./...                 # analyze the whole module
 //	tlavet ./internal/...        # restrict to a subtree
-//	tlavet -checks detflow,exhaustive ./...
+//	tlavet -checks lockdiscipline,exhaustive ./...
 //	tlavet -json ./...           # findings as a JSON array on stdout
 //	tlavet -sarif ./...          # findings as SARIF 2.1.0 on stdout
 //	tlavet -out findings.json ./...  # text to stdout, JSON to a file
 //
 // A pattern selects a package and everything below it; a pattern that
-// selects no package is a usage error. Interprocedural checks always
-// see the whole module.
+// selects no package is a usage error. Module checks (exhaustive)
+// always see the whole module.
 //
 // A finding is accepted only in source, with a justified directive on
 // or above the offending line:
@@ -79,7 +77,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *list {
 		for _, a := range analysis.Analyzers() {
 			scope := "package"
-			if a.Interprocedural() {
+			if a.RunModule != nil {
 				scope = "module"
 			}
 			fmt.Fprintf(stdout, "%-15s [%s] %s\n", a.Name, scope, a.Doc)

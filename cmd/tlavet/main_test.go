@@ -132,7 +132,7 @@ func TestRunList(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
 		names = append(names, strings.Fields(line)[0])
 	}
-	want := "floatcmp lockdiscipline detflow exhaustive"
+	want := "floatcmp lockdiscipline exhaustive"
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("-list names %q, want %q", got, want)
 	}
@@ -145,7 +145,7 @@ func TestRunList(t *testing.T) {
 		}
 	}
 	if !strings.Contains(out, "[module]") {
-		t.Errorf("-list does not mark any interprocedural check:\n%s", out)
+		t.Errorf("-list does not mark any module check:\n%s", out)
 	}
 	if !strings.Contains(out, "[package]") {
 		t.Errorf("-list does not mark any per-package check:\n%s", out)

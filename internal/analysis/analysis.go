@@ -1,21 +1,23 @@
 // Package analysis is tlavet's engine: a standard-library-only static
 // analyzer (go/parser, go/ast, go/types — no x/tools dependency) that
 // loads the module and runs domain-specific checks over the simulator's
-// source. The four checks mechanically enforce properties the Go type
-// system cannot see but the paper's results depend on: byte-identical
-// replays (detflow), sound concurrency in the shared-state packages
-// (lockdiscipline), meaningful metric comparisons (floatcmp), and
-// dispatch that names every variant (exhaustive). A finding is accepted
-// only by a reasoned `//tlavet:allow <check> <reason>` on or above its
-// line.
+// source. The three checks mechanically enforce properties the Go type
+// system cannot see but the paper's results depend on: sound
+// concurrency in the shared-state packages (lockdiscipline), meaningful
+// metric comparisons (floatcmp), and dispatch that names every variant
+// (exhaustive). A finding is accepted only by a reasoned
+// `//tlavet:allow <check> <reason>` on or above its line.
 //
 // Properties a test can check on running code are left to tests: the
 // reset and cache-key field coverage, for instance, are reflection
 // tests built on internal/statecheck; the hierarchy's traffic counters
 // are checked after every access against a reference hierarchy run in
-// lockstep (internal/hierarchy/oracle_test.go); and the zero-allocation
+// lockstep (internal/hierarchy/oracle_test.go); the zero-allocation
 // access path is an exact count of heap allocations over every
-// lockstep machine once warm (internal/hierarchy/alloc_test.go).
+// lockstep machine once warm (internal/hierarchy/alloc_test.go); and
+// byte-identical outputs are tests that produce each output twice and
+// compare the bytes (TestDeterminismAcrossGOMAXPROCS and its siblings,
+// listed in DESIGN.md §13).
 package analysis
 
 import (
@@ -37,28 +39,21 @@ type Diagnostic struct {
 	Analyzer   string `json:"analyzer"`
 	Message    string `json:"message"`
 	Suggestion string `json:"suggestion,omitempty"`
-	// Chain, set by interprocedural analyzers, is the call path from the
-	// function containing the finding to an annotated sink, sink last.
-	Chain []string `json:"chain,omitempty"`
 }
 
 // String renders the diagnostic in the conventional compiler format.
-// Interprocedural findings append their call chain.
 func (d Diagnostic) String() string {
 	s := fmt.Sprintf("%s:%d:%d: %s: %s", d.File, d.Line, d.Col, d.Analyzer, d.Message)
 	if d.Suggestion != "" {
 		s += " (" + d.Suggestion + ")"
 	}
-	if len(d.Chain) > 0 {
-		s += "\n\tvia " + strings.Join(d.Chain, " → ")
-	}
 	return s
 }
 
 // Analyzer is one named check. Exactly one of Run and RunModule is set:
-// per-package checks inspect one package through a Pass, interprocedural
-// checks see the whole module at once through a ModulePass. Neither may
-// retain its pass.
+// per-package checks inspect one package through a Pass, module checks
+// see the whole module at once through a ModulePass. Neither may retain
+// its pass.
 type Analyzer struct {
 	// Name is the check's identifier, used in diagnostics and -checks.
 	Name string
@@ -70,13 +65,9 @@ type Analyzer struct {
 	Help string
 	// Run executes a per-package check against pass.Pkg.
 	Run func(pass *Pass)
-	// RunModule executes an interprocedural check against mp.Module.
+	// RunModule executes a module check against mp.Module.
 	RunModule func(mp *ModulePass)
 }
-
-// Interprocedural reports whether the check needs the whole module
-// (call-graph construction) rather than one package at a time.
-func (a *Analyzer) Interprocedural() bool { return a.RunModule != nil }
 
 // Pass carries one (analyzer, package) unit of work.
 type Pass struct {
@@ -96,11 +87,10 @@ func (p *Pass) Report(pos token.Pos, msg, suggestion string) {
 	if p.allows == nil {
 		p.allows = buildAllowIndex(p.Fset, p.Pkg.Files)
 	}
-	report(p.Fset, p.Root, p.Analyzer.Name, p.allows, p.diags, pos, msg, suggestion, nil)
+	report(p.Fset, p.Root, p.Analyzer.Name, p.allows, p.diags, pos, msg, suggestion)
 }
 
-// ModulePass carries one (interprocedural analyzer, module) unit of
-// work.
+// ModulePass carries one (module analyzer, module) unit of work.
 type ModulePass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
@@ -111,9 +101,9 @@ type ModulePass struct {
 	allows allowIndex
 }
 
-// Report records a finding at pos, carrying the analyzer's call chain,
-// unless a `//tlavet:allow` directive suppresses it.
-func (mp *ModulePass) Report(pos token.Pos, msg, suggestion string, chain []string) {
+// Report records a finding at pos unless a `//tlavet:allow` directive
+// suppresses it.
+func (mp *ModulePass) Report(pos token.Pos, msg, suggestion string) {
 	if mp.allows == nil {
 		var files []*ast.File
 		for _, pkg := range mp.Module.Pkgs {
@@ -121,12 +111,12 @@ func (mp *ModulePass) Report(pos token.Pos, msg, suggestion string, chain []stri
 		}
 		mp.allows = buildAllowIndex(mp.Fset, files)
 	}
-	report(mp.Fset, mp.Root, mp.Analyzer.Name, mp.allows, mp.diags, pos, msg, suggestion, chain)
+	report(mp.Fset, mp.Root, mp.Analyzer.Name, mp.allows, mp.diags, pos, msg, suggestion)
 }
 
 // report is the shared diagnostic sink behind Pass and ModulePass.
 func report(fset *token.FileSet, root, analyzer string, allows allowIndex,
-	diags *[]Diagnostic, pos token.Pos, msg, suggestion string, chain []string) {
+	diags *[]Diagnostic, pos token.Pos, msg, suggestion string) {
 	position := fset.Position(pos)
 	if allows.allowed(analyzer, position.Filename, position.Line) {
 		return
@@ -138,7 +128,6 @@ func report(fset *token.FileSet, root, analyzer string, allows allowIndex,
 		Analyzer:   analyzer,
 		Message:    msg,
 		Suggestion: suggestion,
-		Chain:      chain,
 	})
 }
 
@@ -270,7 +259,6 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		FloatCmpAnalyzer,
 		LockDisciplineAnalyzer,
-		DetflowAnalyzer,
 		ExhaustiveAnalyzer,
 	}
 }
@@ -296,13 +284,13 @@ func Select(list string) ([]*Analyzer, error) {
 
 // RunPackage runs the given analyzers over one loaded package,
 // returning findings sorted by position. root relativises file paths.
-// Interprocedural analyzers see the package as a one-package module —
-// this is how the golden fixtures exercise them.
+// Module analyzers see the package as a one-package module — this is
+// how the golden fixtures exercise them.
 func RunPackage(fset *token.FileSet, pkg *Package, analyzers []*Analyzer, root string) []Diagnostic {
 	var diags []Diagnostic
 	var single *Module
 	for _, a := range analyzers {
-		if a.Interprocedural() {
+		if a.RunModule != nil {
 			if single == nil {
 				single = &Module{Root: root, Path: pkg.Path, Fset: fset, Pkgs: []*Package{pkg}}
 			}
@@ -319,9 +307,9 @@ func RunPackage(fset *token.FileSet, pkg *Package, analyzers []*Analyzer, root s
 // RunModule runs the given analyzers over every package of m whose
 // import path is accepted by filter (nil accepts all), returning the
 // findings sorted by position. Per-package analyzers run once per
-// accepted package; interprocedural analyzers run once over the whole
-// module — their call graphs must see every package regardless of the
-// filter — when at least one package is accepted. An unfiltered run
+// accepted package; module analyzers run once over the whole module —
+// an enum declared in a filtered-out package still binds the switches
+// over it — when at least one package is accepted. An unfiltered run
 // also reports every `//tlavet:allow` that suppressed nothing, so the
 // set of suppressions can only shrink; a filtered run does not evaluate
 // every package, so an unused directive there proves nothing.
@@ -339,13 +327,13 @@ func RunModule(m *Module, analyzers []*Analyzer, filter func(pkgPath string) boo
 		}
 		anyAccepted = true
 		for _, a := range analyzers {
-			if !a.Interprocedural() {
+			if a.RunModule == nil {
 				a.Run(&Pass{Analyzer: a, Fset: m.Fset, Pkg: pkg, Root: m.Root, diags: &diags, allows: allows})
 			}
 		}
 	}
 	for _, a := range analyzers {
-		if anyAccepted && a.Interprocedural() {
+		if anyAccepted && a.RunModule != nil {
 			a.RunModule(&ModulePass{Analyzer: a, Fset: m.Fset, Module: m, Root: m.Root, diags: &diags, allows: allows})
 		}
 	}

@@ -12,17 +12,14 @@ import (
 
 // fixtureCases maps each golden-fixture directory to the analyzer it
 // exercises and the import path that places the fixture inside the
-// analyzer's scope. The nondeterminism fixture sits in a simulation
-// package, where detflow bans the sources themselves.
+// analyzer's scope.
 var fixtureCases = []struct {
 	analyzer *Analyzer
 	dir      string
 	path     string
 }{
-	{DetflowAnalyzer, "nondeterminism", "tlacache/internal/sim"},
 	{FloatCmpAnalyzer, "floatcmp", "tlacache/internal/metrics"},
 	{LockDisciplineAnalyzer, "lockdiscipline", "tlacache/internal/runner"},
-	{DetflowAnalyzer, "detflow", "tlacache/internal/detflow"},
 	{ExhaustiveAnalyzer, "exhaustive", "tlacache/internal/exhaustive"},
 }
 
@@ -138,33 +135,6 @@ func checkWants(t *testing.T, pkg *Package, diags []Diagnostic) {
 	}
 }
 
-// TestDetflowCallGraphEdges proves sink-reachability survives the
-// indirection shapes the simulator uses: generic instantiations,
-// method values, and closures passed as arguments. The wants pin the
-// exact function→sink chains, and every finding must carry a non-empty
-// chain ending at an annotated sink.
-func TestDetflowCallGraphEdges(t *testing.T) {
-	pkg, err := LoadDir(filepath.Join("testdata", "detflowgraph"), "tlacache/internal/detflowgraph")
-	if err != nil {
-		t.Fatalf("loading fixture: %v", err)
-	}
-	diags := RunPackage(pkg.Fset, pkg, []*Analyzer{DetflowAnalyzer}, "")
-	if len(diags) == 0 {
-		t.Fatal("fixture produced no diagnostics")
-	}
-	checkWants(t, pkg, diags)
-	for _, d := range diags {
-		if len(d.Chain) < 2 {
-			t.Errorf("%s: chain %v does not cross a call edge", d, d.Chain)
-			continue
-		}
-		last := d.Chain[len(d.Chain)-1]
-		if last != "detflowgraph.sink" && last != "detflowgraph.writer.write" {
-			t.Errorf("%s: chain %v does not end at an annotated sink", d, d.Chain)
-		}
-	}
-}
-
 // TestRepoIsClean is the self-hosting check: the analyzers must accept
 // the repository they guard, so the in-tree sources carry zero
 // findings. Skipped in -short mode (a full module load costs seconds).
@@ -190,11 +160,11 @@ func TestSelect(t *testing.T) {
 	if err != nil || len(all) != len(Analyzers()) {
 		t.Fatalf("Select(all) = %d analyzers, err %v", len(all), err)
 	}
-	two, err := Select("detflow, floatcmp")
-	if err != nil || len(two) != 2 || two[0].Name != "detflow" || two[1].Name != "floatcmp" {
-		t.Fatalf("Select(detflow, floatcmp) = %v, err %v", two, err)
+	two, err := Select("exhaustive, floatcmp")
+	if err != nil || len(two) != 2 || two[0].Name != "exhaustive" || two[1].Name != "floatcmp" {
+		t.Fatalf("Select(exhaustive, floatcmp) = %v, err %v", two, err)
 	}
-	for _, retired := range []string{"nosuchcheck", "panicmsg", "counterdiscipline", "nondeterminism", "hotpath"} {
+	for _, retired := range []string{"nosuchcheck", "panicmsg", "counterdiscipline", "nondeterminism", "hotpath", "detflow"} {
 		if _, err := Select(retired); err == nil {
 			t.Fatalf("Select(%s) did not error", retired)
 		}
@@ -215,10 +185,10 @@ func TestDiagnosticString(t *testing.T) {
 func TestAllowDirectiveRequiresReason(t *testing.T) {
 	src := `package p
 
-//tlavet:allow detflow the order is sorted before output
+//tlavet:allow exhaustive the other kinds cannot reach this switch
 var a = 1
 
-//tlavet:allow detflow
+//tlavet:allow exhaustive
 var b = 2
 
 var c = 3 //tlavet:allow lockdiscipline fixture says so
@@ -234,11 +204,11 @@ var c = 3 //tlavet:allow lockdiscipline fixture says so
 		line  int
 		want  bool
 	}{
-		{"detflow", 4, true},         // line below a reasoned directive
-		{"detflow", 3, true},         // the directive's own line
-		{"detflow", 7, false},        // reasonless directive suppresses nothing
+		{"exhaustive", 4, true},      // line below a reasoned directive
+		{"exhaustive", 3, true},      // the directive's own line
+		{"exhaustive", 7, false},     // reasonless directive suppresses nothing
 		{"lockdiscipline", 9, true},  // trailing directive, same line
-		{"detflow", 9, false},        // wrong check name
+		{"exhaustive", 9, false},     // wrong check name
 		{"lockdiscipline", 10, true}, // line below a trailing directive is also covered
 	}
 	for _, c := range cases {

@@ -40,6 +40,20 @@ var ExhaustiveAnalyzer = &Analyzer{
 
 const directiveExhaustive = "//tlavet:exhaustive"
 
+// hasDirective reports whether a comment group carries the given
+// bare annotation on a line of its own.
+func hasDirective(doc *ast.CommentGroup, directive string) bool {
+	if doc == nil {
+		return false
+	}
+	for _, c := range doc.List {
+		if strings.TrimSpace(c.Text) == directive {
+			return true
+		}
+	}
+	return false
+}
+
 // enumConst is one declared constant of an annotated enum type. The
 // key is "<pkg path>.<name>", so cross-package case arms match
 // regardless of type-checker object identity.
@@ -67,12 +81,7 @@ func runExhaustive(mp *ModulePass) {
 				if !ok || sw.Tag == nil {
 					return true
 				}
-				t, ok := pkg.TypeOfExpr(sw.Tag)
-				if !ok {
-					return true
-				}
-				key := enumKeyOf(t)
-				info, tracked := enums[key]
+				info, tracked := enums[enumKeyOf(typeOf(pkg, sw.Tag))]
 				if !tracked {
 					return true
 				}
@@ -114,7 +123,7 @@ func collectEnums(mp *ModulePass) map[string]*enumInfo {
 					}
 					if _, isStruct := ts.Type.(*ast.StructType); isStruct {
 						mp.Report(ts.Pos(), "exhaustive annotation on struct type "+ts.Name.Name,
-							"annotate enum-like constant types only", nil)
+							"annotate enum-like constant types only")
 						continue
 					}
 					key := pkg.Path + "." + ts.Name.Name
@@ -192,5 +201,5 @@ func checkSwitch(mp *ModulePass, pkg *Package, sw *ast.SwitchStmt, info *enumInf
 	mp.Report(sw.Pos(),
 		"switch over "+info.display+" is not exhaustive: missing "+strings.Join(missing, ", ")+
 			" (a default arm does not satisfy exhaustiveness)",
-		"add explicit case arms for the missing constants", nil)
+		"add explicit case arms for the missing constants")
 }

@@ -35,9 +35,9 @@ type Package struct {
 	Fset *token.FileSet
 	// Files holds the parsed non-test source files, sorted by filename.
 	Files []*ast.File
-	// Types and Info hold the go/types results for the package. Info is
-	// fully populated (Types, Defs, Uses, Selections) so analyzers can
-	// resolve identifiers and selector expressions.
+	// Types and Info hold the go/types results for the package. Info
+	// records Types, Defs and Uses, which is what the analyzers read to
+	// resolve expressions and identifiers.
 	Types *types.Package
 	Info  *types.Info
 }
@@ -302,10 +302,9 @@ func (ld *loaderState) loadDir(dir, path string) (*Package, error) {
 	}
 
 	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
 	}
 	conf := types.Config{Importer: ld}
 	tpkg, err := conf.Check(path, ld.m.Fset, files, info)

@@ -9,9 +9,7 @@ import (
 // scanning services ingest. The emitted log is minimal but valid: one
 // run, one rule per registered analyzer (so rule metadata is stable
 // even when a check is clean), and one result per diagnostic with the
-// suggestion folded into the message text. Chains are already part of
-// the interprocedural analyzers' messages, so a SARIF viewer shows the
-// full source→sink path without codeFlow support.
+// suggestion folded into the message text.
 
 type sarifLog struct {
 	Schema  string     `json:"$schema"`

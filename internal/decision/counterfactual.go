@@ -89,10 +89,8 @@ func delta(base, alt float64) string {
 
 // Render writes the fixed-format counterfactual report: the trace-level
 // prediction followed by the direct-simulation ground truth. Output is
-// byte-deterministic for identical inputs — enforced statically as a
-// detflow sink.
-//
-//tlavet:detsink
+// byte-deterministic for identical inputs, which
+// TestCounterfactualDeterministic pins at GOMAXPROCS 1 and 8.
 func (c *Counterfactual) Render(w io.Writer) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "counterfactual: %s vs %s on mix %s (%s)\n\n",

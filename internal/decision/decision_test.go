@@ -28,6 +28,12 @@ func smallConfig(t *testing.T) (sim.Config, workload.Mix) {
 	return cfg, mix
 }
 
+// renders is how many times a determinism test renders one result. A
+// map-ordered loop over two entries (the two cores of smallConfig)
+// keeps its order in 7 of 8 renders, so 64 renders all agree by chance
+// about once in 4,500 runs.
+const renders = 64
+
 // teeTracer fans records out to two tracers, so one run can feed the
 // in-memory log and a binary writer at once.
 type teeTracer struct{ a, b telemetry.DecisionTracer }
@@ -92,16 +98,20 @@ func TestAnalyzeViewsAgree(t *testing.T) {
 	if fromLog.Decisions != uint64(len(log.Records)) {
 		t.Errorf("report counts %d decisions, log holds %d", fromLog.Decisions, len(log.Records))
 	}
-	// Rendering the same report twice is byte-identical.
-	var r1, r2 bytes.Buffer
-	if err := fromLog.Render(&r1); err != nil {
+	// Rendering the same report is byte-identical every time.
+	var first bytes.Buffer
+	if err := fromLog.Render(&first); err != nil {
 		t.Fatal(err)
 	}
-	if err := fromLog.Render(&r2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(r1.Bytes(), r2.Bytes()) {
-		t.Error("Render is not deterministic")
+	for i := 1; i < renders; i++ {
+		var again bytes.Buffer
+		if err := fromLog.Render(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), again.Bytes()) {
+			t.Fatalf("render %d differs from the first:\n--- first\n%s\n--- render %d\n%s",
+				i, first.Bytes(), i, again.Bytes())
+		}
 	}
 }
 
@@ -112,27 +122,37 @@ func TestCounterfactualDeterministic(t *testing.T) {
 	cfg, mix := smallConfig(t)
 	cc := CounterfactualConfig{Sim: cfg, Mix: mix, BasePolicy: "baseline", AltPolicy: "qbs"}
 
-	renderAt := func(procs int) []byte {
+	runAt := func(procs int) *Counterfactual {
 		prev := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(prev)
 		res, err := RunCounterfactual(cc)
 		if err != nil {
 			t.Fatal(err)
 		}
+		return res
+	}
+	render := func(res *Counterfactual) []byte {
 		var b bytes.Buffer
 		if err := res.Render(&b); err != nil {
 			t.Fatal(err)
 		}
 		return b.Bytes()
 	}
-	first := renderAt(1)
-	second := renderAt(8)
-	if !bytes.Equal(first, second) {
-		t.Errorf("counterfactual output differs across runs/GOMAXPROCS:\n--- procs=1\n%s\n--- procs=8\n%s",
-			first, second)
-	}
+	runs := []struct {
+		procs int
+		res   *Counterfactual
+	}{{1, runAt(1)}, {8, runAt(8)}}
+	first := render(runs[0].res)
 	if len(first) == 0 {
 		t.Fatal("empty render")
+	}
+	for i := 0; i < renders; i++ {
+		for _, r := range runs {
+			if again := render(r.res); !bytes.Equal(first, again) {
+				t.Fatalf("counterfactual output differs across runs/GOMAXPROCS:\n--- procs=1\n%s\n--- procs=%d, render %d\n%s",
+					first, r.procs, i, again)
+			}
+		}
 	}
 }
 

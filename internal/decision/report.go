@@ -244,9 +244,7 @@ func pctOf(a, b uint64) string {
 
 // Render writes the fixed-format text report. Output carries no
 // timestamps or environment detail: identical traces render to
-// identical bytes — enforced statically as a detflow sink.
-//
-//tlavet:detsink
+// identical bytes, which TestAnalyzeViewsAgree pins.
 func (r *Report) Render(w io.Writer) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "trace: %d sets x %d ways, policy %s, %d cores\n",

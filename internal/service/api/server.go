@@ -458,7 +458,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	//tlavet:allow detflow cache-lookup wall time is telemetry recorded in the manifest's spans, never simulated state
 	j, coalesced, retry, err := s.submit(key, norm, requestIDFrom(r.Context()), lookupSeconds)
 	switch {
 	case errors.Is(err, ErrDraining):

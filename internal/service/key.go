@@ -61,10 +61,7 @@ func ValidKey(key string) bool {
 // input, and enum values are written numerically so renaming a
 // String() form cannot shift keys. TestKeyCoversConfig checks that
 // every field of sim.Config is written here or exempted by name;
-// detflow proves no nondeterministic value or ordering reaches the
-// hash input.
-//
-//tlavet:detsink
+// TestKeyGolden and TestKeyCanonicalGolden pin the bytes.
 func canonical(cfg sim.Config, apps []string, policy string, seed uint64) string {
 	var b strings.Builder
 	h := cfg.Hierarchy

@@ -194,11 +194,10 @@ type PhaseSpans struct {
 // EncodeManifest renders m in the canonical stored form: indented
 // JSON with a trailing newline. The manifest bytes are part of the
 // byte-determinism contract (identical runs re-verify against the
-// cached manifest), so this is a detflow sink, and
+// cached manifest) except for the execution annotations Env,
+// WallSeconds and Phases: TestExecuteDeterministic pins the rest, and
 // TestManifestRoundTrip checks that a manifest with every field set
 // survives encoding and decoding.
-//
-//tlavet:detsink
 func EncodeManifest(m Manifest) ([]byte, error) {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {

@@ -81,34 +81,48 @@ func TestSpecValidation(t *testing.T) {
 
 // Execute must be a pure function of the spec: two runs produce
 // byte-identical deterministic sections (spec, result, telemetry).
+// Each manifest is encoded several times, and one spec runs eight
+// apps, so an order that changes from one encoding to the next (a map
+// range) shows instead of agreeing by chance.
 func TestExecuteDeterministic(t *testing.T) {
-	spec := JobSpec{Apps: []string{"sje", "lib"}, Policy: "qbs", Seed: 3,
-		Instructions: 60_000, Warmup: u64(20_000)}
-	m1, err := Execute(spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := Execute(spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	det := func(m Manifest) string {
-		m.Env = m1.Env // normalise the annotation fields
-		m.WallSeconds = 0
-		b, err := EncodeManifest(m)
+	const encodes = 4
+	for _, spec := range []JobSpec{
+		{Apps: []string{"sje", "lib"}, Policy: "qbs", Seed: 3,
+			Instructions: 60_000, Warmup: u64(20_000)},
+		{Apps: []string{"sje", "lib", "dea", "mcf", "bzi", "wrf", "gob", "pov"}, Policy: "eci", Seed: 3,
+			Instructions: 20_000, Warmup: u64(20_000)},
+	} {
+		m1, err := Execute(spec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return string(b)
-	}
-	if d1, d2 := det(m1), det(m2); d1 != d2 {
-		t.Errorf("Execute not deterministic:\n%s\nvs\n%s", d1, d2)
-	}
-	if m1.Key == "" || !strings.HasPrefix(m1.Key, KeyVersion+":") {
-		t.Errorf("manifest key malformed: %q", m1.Key)
-	}
-	if m1.Result.Throughput <= 0 {
-		t.Errorf("throughput %f not positive", m1.Result.Throughput)
+		m2, err := Execute(spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		det := func(m Manifest) string {
+			m.Env = m1.Env // normalise the annotation fields
+			m.WallSeconds = 0
+			b, err := EncodeManifest(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return string(b)
+		}
+		want := det(m1)
+		for i := 0; i < encodes; i++ {
+			for _, m := range []Manifest{m1, m2} {
+				if got := det(m); got != want {
+					t.Fatalf("%v: Execute not deterministic:\n%s\nvs\n%s", spec.Apps, want, got)
+				}
+			}
+		}
+		if m1.Key == "" || !strings.HasPrefix(m1.Key, KeyVersion+":") {
+			t.Errorf("manifest key malformed: %q", m1.Key)
+		}
+		if m1.Result.Throughput <= 0 {
+			t.Errorf("throughput %f not positive", m1.Result.Throughput)
+		}
 	}
 }
 

@@ -146,9 +146,8 @@ func NewDecisionWriter(w io.Writer, meta DecisionMeta) (*DecisionWriter, error) 
 // the worst-case record at construction, so the appends below reuse it
 // in the steady state; tracer-attached runs opt out of the zero-alloc
 // contract regardless (like Recorder-attached ones). TLAD1 bytes are
-// replay-compared across runs, so this is a detflow sink.
-//
-//tlavet:detsink
+// replay-compared across runs: TestDeterminismAcrossGOMAXPROCS
+// (internal/sim) pins them.
 func (dw *DecisionWriter) Decision(d *Decision) {
 	if dw.err != nil {
 		return
@@ -230,9 +229,8 @@ func NewDecisionJSONLWriter(w io.Writer, meta DecisionMeta) (*DecisionJSONLWrite
 }
 
 // Decision implements DecisionTracer. The JSONL stream must be
-// byte-identical across replays, so this is a detflow sink.
-//
-//tlavet:detsink
+// byte-identical across replays: TestDeterminismAcrossGOMAXPROCS
+// (internal/sim) pins it.
 func (jw *DecisionJSONLWriter) Decision(d *Decision) {
 	if jw.err != nil {
 		return

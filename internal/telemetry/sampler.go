@@ -100,9 +100,8 @@ func (r *Recorder) Samples() []Sample {
 const csvHeader = "interval,core,instructions,delta_instructions,delta_cycles,ipc,llc_mpki,inclusion_victims,victims_per_minst,llc_occupancy"
 
 // WriteCSV writes the samples as CSV with a header row. The bytes are
-// replay artifacts compared across runs, so this is a detflow sink.
-//
-//tlavet:detsink
+// replay artifacts compared across runs: TestDeterminismAcrossGOMAXPROCS
+// (internal/sim) pins them.
 func (r *Recorder) WriteCSV(w io.Writer) error {
 	if r == nil {
 		return nil
@@ -121,9 +120,8 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 }
 
 // WriteJSONL writes the samples as JSON Lines, one Sample per line.
-// Like WriteCSV, the output must be byte-identical across replays.
-//
-//tlavet:detsink
+// Like WriteCSV, the output must be byte-identical across replays, and
+// TestDeterminismAcrossGOMAXPROCS (internal/sim) pins it.
 func (r *Recorder) WriteJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	for _, sm := range r.Samples() {

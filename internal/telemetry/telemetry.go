@@ -116,13 +116,17 @@ func NewRecorder(every uint64) *Recorder {
 }
 
 // ECIInvalidate records ECI early-invalidating addr from the core
-// caches while retaining it in the LLC.
+// caches while retaining it in the LLC. A line already pending is
+// re-stamped even when the map is full, so its rescue distance counts
+// from its latest invalidation; only new lines are turned away.
 func (r *Recorder) ECIInvalidate(addr uint64) {
 	if r == nil {
 		return
 	}
 	r.eciSeq++
 	if len(r.pending) < maxPendingRescues {
+		r.pending[addr] = r.eciSeq
+	} else if _, ok := r.pending[addr]; ok {
 		r.pending[addr] = r.eciSeq
 	}
 }

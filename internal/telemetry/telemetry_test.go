@@ -102,6 +102,29 @@ func TestRecorderECIRescueDistance(t *testing.T) {
 	}
 }
 
+// TestRecorderECIRescueDistanceFullMap fills the pending-rescue map to
+// its bound, then re-invalidates a tracked line: its distance must
+// count from the latest invalidation, and a new line must be turned
+// away rather than grow the map.
+func TestRecorderECIRescueDistanceFullMap(t *testing.T) {
+	r := NewRecorder(0)
+	for addr := uint64(0); addr < maxPendingRescues; addr++ {
+		r.ECIInvalidate(addr << 6)
+	}
+	r.ECIInvalidate(maxPendingRescues << 6) // untracked: the map is full
+	r.ECIInvalidate(0)                      // re-invalidated: re-stamped
+	r.ECIInvalidate(0x1 << 6)               // one more invalidation after it
+	if n := len(r.pending); n != maxPendingRescues {
+		t.Fatalf("pending holds %d lines, want the bound %d", n, maxPendingRescues)
+	}
+	r.ECIRescue(0)
+	r.ECIRescue(maxPendingRescues << 6)
+	h := r.Summary().ECIRescueDistance
+	if h == nil || h.Count != 1 || h.Max != 1 {
+		t.Fatalf("rescue distance = %+v, want one observation of 1", h)
+	}
+}
+
 func TestRecorderQBSChains(t *testing.T) {
 	r := NewRecorder(0)
 	for _, queries := range []int{3, 1, 0, 2, 1} {
