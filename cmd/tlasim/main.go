@@ -268,7 +268,13 @@ func main() {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if len(results) == 1 {
-			if err := enc.Encode(results[0].Value.Result); err != nil {
+			// The result's fields stay at the top level, as without
+			// -interval, beside the sampled run's telemetry.
+			out := results[0].Value
+			if err := enc.Encode(struct {
+				sim.MixResult
+				Telemetry *telemetry.Summary `json:"telemetry,omitempty"`
+			}{out.Result, out.Telemetry}); err != nil {
 				log.Fatal(err)
 			}
 			return

@@ -30,12 +30,10 @@ import (
 )
 
 // InclusionMode selects the LLC's relationship to the core caches.
-// Switches over it must name every mode (tlavet's exhaustive check):
+// Switches over it must name every mode (TestSwitchesAreExhaustive):
 // the inclusive/non-inclusive/exclusive split is the paper's central
 // axis, and a mode silently absorbed by a default arm is exactly the
-// bug class the check exists for.
-//
-//tlavet:exhaustive
+// bug class the test exists for.
 type InclusionMode uint8
 
 const (
@@ -66,9 +64,7 @@ func (m InclusionMode) String() string {
 }
 
 // TLAPolicy selects the temporal-locality-aware management policy.
-// Switches over it must name every policy (tlavet's exhaustive check).
-//
-//tlavet:exhaustive
+// Switches over it must name every policy (TestSwitchesAreExhaustive).
 type TLAPolicy uint8
 
 const (
@@ -155,9 +151,7 @@ const (
 )
 
 // Level identifies where in the hierarchy an access was satisfied.
-// Switches over it must name every level (tlavet's exhaustive check).
-//
-//tlavet:exhaustive
+// Switches over it must name every level (TestSwitchesAreExhaustive).
 type Level uint8
 
 const (

@@ -21,13 +21,11 @@ package replacement
 import "fmt"
 
 // Kind names a replacement policy implementation. Switches over Kind
-// must name every policy (tlavet's exhaustive check): a default arm
+// must name every policy (TestSwitchesAreExhaustive): a default arm
 // is exactly how a newly added policy would be silently mis-handled
 // by the String/New dispatch ladders. The values are part of the
 // tlacached result-key format, which writes kinds numerically, so an
 // existing kind never changes value.
-//
-//tlavet:exhaustive
 type Kind int
 
 const (

@@ -37,11 +37,9 @@ const ResultHeader = "X-Tlacache-Result"
 
 // JobState is a job's lifecycle phase. The wire encoding is the plain
 // string, so typing it costs nothing over the JSON API; switches over
-// it must name every state (tlavet's exhaustive check), so adding a
+// it must name every state (TestSwitchesAreExhaustive), so adding a
 // lifecycle phase fails loudly in every dispatch instead of slipping
 // through a default arm.
-//
-//tlavet:exhaustive
 type JobState string
 
 // Job states, in lifecycle order.
@@ -247,8 +245,8 @@ func (j *Job) unsubscribe(ch chan Event) {
 
 // publish fans an event out to subscribers. The subscriber list is
 // copied under the lock and the (non-blocking) sends happen outside
-// it — a send under a held mutex is the deadlock shape the
-// lockdiscipline analyzer exists to reject.
+// it — a send under a held mutex is the deadlock shape
+// TestLockDiscipline exists to reject.
 func (j *Job) publish(ev Event) {
 	if ev.RequestID == "" {
 		ev.RequestID = j.RequestID
