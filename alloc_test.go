@@ -114,8 +114,8 @@ func TestAccessSteadyStateZeroAllocs(t *testing.T) {
 			const window = 200_000
 			s := newStepper(t, m.mutate)
 			s.step(window) // fill caches, detectors, and internal buffers
-			if n, b := statecheck.Allocs(func() { s.step(window) }); n != 0 {
-				t.Errorf("steady state made %d heap allocations (%d B) in %d instructions, want 0", n, b, window)
+			if c := statecheck.Allocs(func() { s.step(window) }); c.Mallocs != 0 {
+				t.Errorf("steady state made %v\nin %d instructions, want 0", c, window)
 			}
 		})
 	}

@@ -58,7 +58,7 @@ func BenchmarkLookup(b *testing.B) {
 // twice the cache capacity.
 func BenchmarkFillEvict(b *testing.B) {
 	c := benchCache(b)
-	lines := 2 * c.NumSets() * c.Config().Assoc
+	lines := 2 * c.NumSets() * c.assoc
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c.Fill(uint64(i%lines)*64, 0)

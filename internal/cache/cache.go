@@ -69,7 +69,6 @@ type Stats struct {
 // Cache is a set-associative cache. It is not safe for concurrent use;
 // the simulator is single-goroutine by design (determinism).
 type Cache struct {
-	cfg     Config
 	numSets int
 	assoc   int
 	offBits uint
@@ -112,7 +111,6 @@ func New(cfg Config) (*Cache, error) {
 		return nil, fmt.Errorf("cache %s: %d sets is not a power of two", cfg.Name, numSets)
 	}
 	c := &Cache{
-		cfg:      cfg,
 		numSets:  numSets,
 		assoc:    cfg.Assoc,
 		offBits:  uint(bits.TrailingZeros64(uint64(cfg.LineSize))),
@@ -140,9 +138,6 @@ func MustNew(cfg Config) *Cache {
 	}
 	return c
 }
-
-// Config returns the configuration the cache was built with.
-func (c *Cache) Config() Config { return c.cfg }
 
 // NumSets returns the number of sets.
 func (c *Cache) NumSets() int { return c.numSets }
@@ -263,8 +258,8 @@ func (c *Cache) VictimWay(set int) int {
 }
 
 // WayRank returns the replacement policy's eviction-preference rank for
-// (set, way) — 0 most protected, larger closer to eviction, or
-// replacement.RankUnknown (see replacement.Policy.WayRank). Read-only;
+// (set, way) — 0 most protected, larger closer to eviction (see
+// replacement.Policy.WayRank). Read-only;
 // used by decision tracing to snapshot candidate state.
 func (c *Cache) WayRank(set, way int) uint8 { return c.policy.WayRank(set, way) }
 
@@ -332,29 +327,8 @@ func (c *Cache) InvalidateAt(set, way int) Line {
 	return line
 }
 
-// Presence returns the presence mask of addr's line (0 when absent).
-func (c *Cache) Presence(addr uint64) uint64 {
-	set, way, ok := c.Lookup(addr)
-	if !ok {
-		return 0
-	}
-	return c.presenceAtIndex(set*c.assoc + way)
-}
-
 // PresenceAt returns the presence mask of the line at (set, way).
 func (c *Cache) PresenceAt(set, way int) uint64 { return c.presenceAtIndex(set*c.assoc + way) }
-
-// AddPresence ORs bit core into addr's presence mask. It reports whether
-// the line was present.
-func (c *Cache) AddPresence(addr uint64, core int) bool {
-	set, way, ok := c.Lookup(addr)
-	if !ok {
-		return false
-	}
-	c.ensurePresence()
-	c.presence[set*c.assoc+way] |= 1 << uint(core)
-	return true
-}
 
 // AddPresenceAt ORs bit core into the presence mask at (set, way).
 func (c *Cache) AddPresenceAt(set, way, core int) {

@@ -176,26 +176,36 @@ func TestDirtyTracking(t *testing.T) {
 	}
 }
 
+// presenceOf returns addr's presence mask, 0 when the line is absent.
+func presenceOf(c *Cache, addr uint64) uint64 {
+	set, way, ok := c.Lookup(addr)
+	if !ok {
+		return 0
+	}
+	return c.PresenceAt(set, way)
+}
+
 func TestPresenceBits(t *testing.T) {
 	c := tiny(t, 64*4, 4, replacement.NRU)
 	c.Fill(0x0, 1<<2)
-	if got := c.Presence(0x0); got != 1<<2 {
+	if got := presenceOf(c, 0x0); got != 1<<2 {
 		t.Fatalf("Presence = %b, want 100", got)
 	}
-	c.AddPresence(0x0, 0)
-	if got := c.Presence(0x0); got != 1<<2|1 {
+	set, way, _ := c.Lookup(0x0)
+	c.AddPresenceAt(set, way, 0)
+	if got := presenceOf(c, 0x0); got != 1<<2|1 {
 		t.Fatalf("Presence = %b, want 101", got)
 	}
 	if !c.ClearPresence(0x0) {
 		t.Fatal("ClearPresence failed on present line")
 	}
-	if got := c.Presence(0x0); got != 0 {
+	if got := presenceOf(c, 0x0); got != 0 {
 		t.Fatalf("Presence after clear = %b", got)
 	}
-	if c.AddPresence(0xF00, 1) || c.ClearPresence(0xF00) {
+	if c.ClearPresence(0xF00) {
 		t.Fatal("presence ops on absent line reported success")
 	}
-	if got := c.Presence(0xF00); got != 0 {
+	if got := presenceOf(c, 0xF00); got != 0 {
 		t.Fatalf("Presence of absent line = %b", got)
 	}
 }
@@ -238,7 +248,7 @@ func TestPeekAndPromote(t *testing.T) {
 // TestWayRankForEveryKind pins the rank each policy reports for
 // decision traces: the LRU stack position, 0/1 for a referenced or
 // unreferenced NRU way, the SRRIP RRPV, the base policy's rank for DIP
-// and DRRIP, and RankUnknown for Random.
+// and DRRIP.
 func TestWayRankForEveryKind(t *testing.T) {
 	// One set of four ways. Fill ways 0-3 in order, then hit way 1.
 	ranks := func(pol replacement.Kind) []uint8 {
@@ -253,7 +263,6 @@ func TestWayRankForEveryKind(t *testing.T) {
 		}
 		return got
 	}
-	unk := replacement.RankUnknown
 	for _, tc := range []struct {
 		pol  replacement.Kind
 		want []uint8
@@ -267,7 +276,6 @@ func TestWayRankForEveryKind(t *testing.T) {
 		// Fills insert long (RRPV 2); the hit makes way 1 near-immediate.
 		{replacement.SRRIP, []uint8{2, 0, 2, 2}},
 		{replacement.DRRIP, []uint8{2, 0, 2, 2}}, // set 0 leads for SRRIP
-		{replacement.Random, []uint8{unk, unk, unk, unk}},
 	} {
 		if got := ranks(tc.pol); !slices.Equal(got, tc.want) {
 			t.Errorf("%v: WayRank = %v, want %v", tc.pol, got, tc.want)
@@ -418,7 +426,7 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 // TestNoDuplicateLines: a line address never occupies two ways at once,
 // under any access pattern and policy.
 func TestNoDuplicateLines(t *testing.T) {
-	for _, pol := range []replacement.Kind{replacement.LRU, replacement.NRU, replacement.SRRIP, replacement.Random} {
+	for _, pol := range []replacement.Kind{replacement.LRU, replacement.NRU, replacement.SRRIP, replacement.DIP, replacement.DRRIP} {
 		pol := pol
 		f := func(ops []uint16) bool {
 			c := MustNew(Config{Name: "dut", Size: 64 * 4 * 4, Assoc: 4, LineSize: 64, Policy: pol})

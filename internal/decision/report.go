@@ -62,8 +62,8 @@ type Report struct {
 	PredictedVictimsAvoided uint64 `json:"predicted_victims_avoided"`
 	PredictedDirtyAvoided   uint64 `json:"predicted_dirty_avoided"`
 	// RankChosen histograms the replacement-policy rank of the chosen
-	// way (larger = closer to eviction; telemetry.RankUnknown when the
-	// policy exposes none). A healthy policy evicts from high ranks.
+	// way (larger = closer to eviction). A healthy policy evicts from
+	// high ranks.
 	RankChosen []RankCount `json:"rank_chosen"`
 	// PerCore is indexed by core ID (length Meta.Cores).
 	PerCore []CoreStats `json:"per_core"`
@@ -265,11 +265,7 @@ func (r *Report) Render(w io.Writer) error {
 	fmt.Fprintf(&b, "  dirty swaps avoided   %d\n", r.PredictedDirtyAvoided)
 	fmt.Fprintf(&b, "rank of chosen way (larger = closer to eviction)\n")
 	for _, rc := range r.RankChosen {
-		label := fmt.Sprintf("%d", rc.Rank)
-		if rc.Rank == telemetry.RankUnknown {
-			label = "unknown"
-		}
-		fmt.Fprintf(&b, "  rank %-7s %10d (%s)\n", label, rc.Count, pctOf(rc.Count, r.Decisions))
+		fmt.Fprintf(&b, "  rank %-7d %10d (%s)\n", rc.Rank, rc.Count, pctOf(rc.Count, r.Decisions))
 	}
 	fmt.Fprintf(&b, "per core\n")
 	for core, cs := range r.PerCore {

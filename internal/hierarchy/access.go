@@ -57,8 +57,8 @@ func (h *Hierarchy) Access(core int, kind AccessKind, addr uint64) Result {
 // majority of fetches that repeat the previous fetch's line; a false
 // return means the fetch must take the full AccessAt path, which arms
 // the memo on an L1I hit and disarms it on a miss. Configurations that
-// never arm the memo (TLH: a hit must still deliver its hint) simply
-// always return false.
+// never arm the memo (TLH with IL1 among its hint sources: an L1I hit
+// must still deliver its hint) simply always return false.
 func (h *Hierarchy) IFetchMemoHit(core int, addr uint64) bool {
 	if h.llc.LineAddr(addr) == h.lastILine[core] {
 		h.Cores[core].L1I.Accesses++
@@ -93,7 +93,8 @@ func (h *Hierarchy) AccessAt(core int, kind AccessKind, addr uint64, now uint64)
 		}
 		if h.tlhOn {
 			h.maybeHint(src, la)
-		} else if kind == IFetch {
+		}
+		if kind == IFetch && h.memoOn {
 			h.lastILine[core] = la
 		}
 		return Result{LevelL1, h.cfg.Latency.L1}
@@ -166,7 +167,7 @@ func (h *Hierarchy) lookupLLC(core int, kind AccessKind, la uint64) Result {
 			// Exclusive hit path: the line moves up and the LLC copy
 			// is invalidated (paper §IV-A).
 			line := h.llc.InvalidateAt(set, way)
-			h.fillL2(core, la)
+			h.allocL2(core, la)
 			if line.Dirty {
 				h.l2[core].SetDirty(la)
 			}
@@ -180,8 +181,6 @@ func (h *Hierarchy) lookupLLC(core int, kind AccessKind, la uint64) Result {
 			}
 			h.llc.PromoteWay(set, way)
 			h.llc.AddPresenceAt(set, way, core)
-			// fillL2 would re-probe the LLC to record presence; the hit
-			// path already did, so allocate the L2 line directly.
 			h.allocL2(core, la)
 		}
 		h.fillL1(core, kind, la)
@@ -202,14 +201,13 @@ func (h *Hierarchy) lookupLLC(core int, kind AccessKind, la uint64) Result {
 		if dirty, ok := h.vc.remove(la); ok {
 			h.Traffic.VictimCacheHits++
 			if h.cfg.Inclusion == Exclusive {
-				h.fillL2(core, la)
+				h.allocL2(core, la)
 				if dirty {
 					h.l2[core].SetDirty(la)
 				}
 			} else {
+				// fillLLC installs the line with this core's presence bit.
 				h.fillLLC(core, la, dirty)
-				// fillLLC installed the line with this core's presence
-				// bit; allocate the L2 line without re-probing the LLC.
 				h.allocL2(core, la)
 			}
 			h.fillL1(core, kind, la)
@@ -220,13 +218,10 @@ func (h *Hierarchy) lookupLLC(core int, kind AccessKind, la uint64) Result {
 	// Memory fetch.
 	h.Traffic.MemoryReads++
 	if h.cfg.Inclusion != Exclusive {
+		// fillLLC installs the line with this core's presence bit.
 		h.fillLLC(core, la, false)
-		// fillLLC installed the line with this core's presence bit;
-		// allocate the L2 line without re-probing the LLC.
-		h.allocL2(core, la)
-	} else {
-		h.fillL2(core, la)
 	}
+	h.allocL2(core, la)
 	h.fillL1(core, kind, la)
 	return Result{LevelMemory, h.cfg.Latency.Memory}
 }
@@ -264,16 +259,6 @@ func (h *Hierarchy) writebackToL2(core int, addr uint64) {
 	}
 	h.allocL2(core, addr)
 	l2.SetDirty(addr)
-}
-
-// fillL2 installs la into core's L2 and records the core in the LLC
-// directory (inclusive/non-inclusive modes keep the LLC copy; the
-// exclusive mode has none).
-func (h *Hierarchy) fillL2(core int, la uint64) {
-	h.allocL2(core, la)
-	if h.cfg.Inclusion != Exclusive {
-		h.llc.AddPresence(la, core)
-	}
 }
 
 // allocL2 allocates la in core's L2: victim selection (QBS-at-L2 when
@@ -353,7 +338,7 @@ func (h *Hierarchy) insertLLCFromL2(core int, victim cache.Line) {
 	// A line still resident in another core's L2 (a shared line) stays
 	// out of the exclusive LLC; dirty data that has no LLC home goes
 	// straight to memory. Same-core L1 copies may coexist with the LLC
-	// transiently (see CheckInvariants).
+	// transiently, as in the paper's simplified exclusive model.
 	if h.residentInCores(victim.Addr, uint64(1)<<uint(h.cfg.Cores)-1, L2C) {
 		if victim.Dirty {
 			h.Traffic.WritebacksToMem++
@@ -702,14 +687,14 @@ func (h *Hierarchy) prefetchFill(core int, pa uint64) {
 	case Exclusive:
 		if set, way, ok := h.llc.Lookup(la); ok {
 			line := h.llc.InvalidateAt(set, way)
-			h.fillL2(core, la)
+			h.allocL2(core, la)
 			if line.Dirty {
 				h.l2[core].SetDirty(la)
 			}
 			return
 		}
 		h.Traffic.MemoryReads++
-		h.fillL2(core, la)
+		h.allocL2(core, la)
 	case Inclusive, NonInclusive:
 		if set, way, ok := h.llc.Lookup(la); ok {
 			h.llc.PromoteWay(set, way)

@@ -2,9 +2,9 @@ package hierarchy
 
 // The allocation gate. Experiments run hundreds of millions of
 // accesses, so a warm hierarchy must make no heap allocation at all
-// (DESIGN.md §10). The gate drives every lockstep machine, and the
-// machines the lockstep cannot model, with the lockstep's own streams
-// and counts allocations exactly over a window as long as the warm-up.
+// (DESIGN.md §10). The gate drives every lockstep machine with the
+// lockstep's own streams and counts allocations exactly over a window
+// as long as the warm-up.
 // The exact count is what catches a slice or map that grows a little
 // at a time, which a mean per access truncated to an integer reads as
 // zero. Append at most doubles a slice's capacity, so state that grows
@@ -13,10 +13,8 @@ package hierarchy
 // grow it once more.
 
 import (
-	"strings"
 	"testing"
 
-	"tlacache/internal/replacement"
 	"tlacache/internal/statecheck"
 	"tlacache/internal/telemetry"
 )
@@ -45,23 +43,6 @@ func (m *bareMachine) fetch(core int, pc uint64) error {
 	return nil
 }
 
-// allocGateConfigs lists every lockstep machine, then SRRIP, DIP, DRRIP
-// and Random LLCs under no TLA policy, QBS and ECI, then a banked LLC.
-func allocGateConfigs() []lockstepCase {
-	cases := lockstepConfigs()
-	for _, p := range []replacement.Kind{replacement.SRRIP, replacement.DIP, replacement.DRRIP, replacement.Random} {
-		for _, tla := range []TLAPolicy{TLANone, TLAQBS, TLAECI} {
-			cfg := smallConfig(2)
-			cfg.LLCPolicy, cfg.TLA = p, tla
-			name := strings.ToLower(p.String() + "-llc-" + tla.String())
-			cases = append(cases, lockstepCase{name, cfg})
-		}
-	}
-	banked := smallConfig(2)
-	banked.LLCBanks = 2
-	return append(cases, lockstepCase{"banked", banked})
-}
-
 // allocWindow is each stream's warm-up, and then the window after it
 // in which a machine may not allocate. The warm-up also covers a traced
 // ECI machine's recorder learning the stream's lines: its rescue map
@@ -69,7 +50,7 @@ func allocGateConfigs() []lockstepCase {
 // bounds, and stops growing within about 15,000 accesses.
 const allocWindow = 20_000
 
-// TestWarmMachinesAllocateNothing warms each gate machine for
+// TestWarmMachinesAllocateNothing warms each lockstep machine for
 // allocWindow accesses of each lockstep stream and then requires
 // exactly zero heap allocations over the next allocWindow. Each machine
 // runs twice: with no recorder, as runs without telemetry do, and with
@@ -77,7 +58,7 @@ const allocWindow = 20_000
 // victim decision record. The subtests run serially, because the
 // malloc count is process-wide.
 func TestWarmMachinesAllocateNothing(t *testing.T) {
-	for i, tc := range allocGateConfigs() {
+	for i, tc := range lockstepConfigs() {
 		seed := 0x9E3779B97F4A7C15 ^ uint64(i+1)
 		t.Run(tc.name, func(t *testing.T) {
 			for _, traced := range []bool{false, true} {
@@ -97,9 +78,9 @@ func TestWarmMachinesAllocateNothing(t *testing.T) {
 							m.h.SetTelemetry(rec)
 						}
 						s.ops.run(m, allocWindow)
-						if n, b := statecheck.Allocs(func() { s.ops.run(m, allocWindow) }); n != 0 {
-							t.Errorf("%s stream: %d heap allocations (%d B) in %d accesses after a warm-up of as many, want 0",
-								s.name, n, b, allocWindow)
+						if c := statecheck.Allocs(func() { s.ops.run(m, allocWindow) }); c.Mallocs != 0 {
+							t.Errorf("%s stream: %v\nin %d accesses after a warm-up of as many, want 0",
+								s.name, c, allocWindow)
 						}
 					}
 				})

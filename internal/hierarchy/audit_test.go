@@ -1,6 +1,7 @@
 package hierarchy
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -44,11 +45,11 @@ func lockstepError(t *testing.T, err error, want string) {
 
 // TestAuditorDetectsInclusionBreach plants a core-cache line the LLC
 // does not hold — the exact corruption a back-invalidation bug would
-// produce.
+// produce. The reference's L1D does not hold it either.
 func TestAuditorDetectsInclusionBreach(t *testing.T) {
 	ls := newLockstep(t, smallConfig(2), false)
 	ls.h.L1D(0).Fill(0x4_0000, 0)
-	lockstepError(t, ls.check(), "inclusion violated")
+	lockstepError(t, ls.check(), "L1D[0] set 0 way 0 holds {Addr:262144 Valid:true")
 }
 
 // TestAuditorDetectsDuplicateLine plants the same address in two ways
@@ -63,8 +64,8 @@ func TestAuditorDetectsDuplicateLine(t *testing.T) {
 	if !ok {
 		t.Fatal("accessed line missing from LLC")
 	}
-	llc.FillWay(set, (way+1)%llc.Config().Assoc, 0, llc.Presence(0))
-	lockstepError(t, ls.check(), "duplicated")
+	llc.FillWay(set, way+1, 0, llc.PresenceAt(set, way))
+	lockstepError(t, ls.check(), fmt.Sprintf("LLC set %d way %d holds {Addr:0 Valid:true", set, way+1))
 }
 
 // TestAuditorDetectsCounterRollback decrements a traffic counter after

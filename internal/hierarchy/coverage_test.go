@@ -2,7 +2,8 @@ package hierarchy
 
 // Targeted tests for the less-travelled paths: prefetching in exclusive
 // and non-inclusive modes, the victim cache under exclusion, accessor
-// methods, and invariant detection of planted corruption.
+// methods, and the lockstep's detection of planted corruption. The
+// scenarios run in lockstep with the reference hierarchy.
 
 import (
 	"testing"
@@ -75,49 +76,43 @@ func TestPrefetchInExclusiveMode(t *testing.T) {
 	cfg := DefaultConfig(1)
 	cfg.Inclusion = Exclusive
 	cfg.EnablePrefetch = true
-	h := MustNew(cfg)
+	ls := newLockstep(t, cfg, false)
 	for i := 0; i < 64; i++ {
-		h.Access(0, Load, uint64(i)*64)
+		ls.step(t, 0, Load, uint64(i)*64)
 	}
-	if h.Traffic.PrefetchFills == 0 {
+	if ls.h.Traffic.PrefetchFills == 0 {
 		t.Fatal("no prefetch fills in exclusive mode")
 	}
-	if err := h.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	ls.mustAgree(t)
 	// Prefetch of a line resident in the exclusive LLC must move it up
 	// (LLC invalidation path). Construct: evict a stream line from L2
 	// into the LLC, then re-stream near it so the prefetcher wants it.
 	cfg2 := tinyConfig()
 	cfg2.Inclusion = Exclusive
 	cfg2.EnablePrefetch = true
-	h2 := MustNew(cfg2)
+	ls2 := newLockstep(t, cfg2, false)
 	for i := 0; i < 32; i++ {
-		h2.Access(0, Load, uint64(i)*64)
+		ls2.step(t, 0, Load, uint64(i)*64)
 	}
-	if err := h2.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	ls2.mustAgree(t)
 }
 
 func TestPrefetchHitsLLCPromotes(t *testing.T) {
 	cfg := DefaultConfig(1)
 	cfg.EnablePrefetch = true
-	h := MustNew(cfg)
+	ls := newLockstep(t, cfg, false)
 	// Prime lines into the LLC only: stream far enough that early lines
 	// leave the L2 but stay in the LLC, then restart the stream so
 	// prefetches target LLC-resident lines.
 	const lines = 8192 // 512KB: beyond the 256KB L2, within the 1MB LLC
 	for i := 0; i < lines; i++ {
-		h.Access(0, Load, uint64(i)*64)
+		ls.step(t, 0, Load, uint64(i)*64)
 	}
 	for i := 0; i < 64; i++ {
-		h.Access(0, Load, uint64(i)*64)
+		ls.step(t, 0, Load, uint64(i)*64)
 	}
-	if err := h.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if h.Traffic.PrefetchFills == 0 {
+	ls.mustAgree(t)
+	if ls.h.Traffic.PrefetchFills == 0 {
 		t.Fatal("prefetcher idle")
 	}
 }
@@ -126,11 +121,12 @@ func TestVictimCacheWithExclusiveLLC(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Inclusion = Exclusive
 	cfg.VictimCacheEntries = 8
-	h := MustNew(cfg)
+	ls := newLockstep(t, cfg, false)
+	h := ls.h
 	// Stream enough distinct lines that the exclusive LLC evicts into
 	// the victim cache, then revisit an old line.
 	for i := 0; i < 12; i++ {
-		h.Access(0, Load, uint64(i)*64)
+		ls.step(t, 0, Load, uint64(i)*64)
 	}
 	if h.Traffic.VictimCacheFills == 0 {
 		t.Fatal("exclusive LLC evictions bypassed the victim cache")
@@ -140,13 +136,11 @@ func TestVictimCacheWithExclusiveLLC(t *testing.T) {
 		t.Fatal("victim cache empty")
 	}
 	target := h.vc.addrs[0]
-	res := h.Access(0, Load, target)
+	res := ls.step(t, 0, Load, target)
 	if res.Level != LevelVictimCache {
 		t.Fatalf("victim-cache line served from level %d", res.Level)
 	}
-	if err := h.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	ls.mustAgree(t)
 }
 
 func TestDirtyVictimCacheHitPreservesDirtyData(t *testing.T) {
@@ -176,48 +170,39 @@ func TestDirtyVictimCacheHitPreservesDirtyData(t *testing.T) {
 	}
 }
 
-func TestCheckInvariantsDetectsPlantedViolations(t *testing.T) {
-	// Inclusion violation: plant a line in the L1 that the LLC lacks.
-	h := MustNew(tinyConfig())
-	h.Access(0, Load, lineA)
-	h.LLC().Invalidate(lineA) // bypass back-invalidation
-	if err := h.CheckInvariants(); err == nil {
-		t.Error("planted inclusion violation not detected")
-	}
-
-	// Directory hole: presence bit cleared while the core holds it.
-	h2 := MustNew(tinyConfig())
-	h2.Access(0, Load, lineA)
-	h2.LLC().ClearPresence(lineA)
-	if err := h2.CheckInvariants(); err == nil {
-		t.Error("planted directory hole not detected")
-	}
-
-	// Exclusion violation: plant the same line in L2 and LLC.
-	cfg := tinyConfig()
-	cfg.Inclusion = Exclusive
-	h3 := MustNew(cfg)
-	h3.Access(0, Load, lineA) // L1+L2 only
-	h3.LLC().Fill(lineA, 0)   // plant the duplicate
-	if err := h3.CheckInvariants(); err == nil {
-		t.Error("planted exclusion violation not detected")
-	}
-
-	// L2-inclusion violation.
-	cfg4 := l2IncConfig()
-	h4 := MustNew(cfg4)
-	h4.Access(0, Load, lineA)
-	h4.L2(0).Invalidate(lineA)
-	if err := h4.CheckInvariants(); err == nil {
-		t.Error("planted L2-inclusion violation not detected")
-	}
-
-	// Bogus presence mask naming a nonexistent core.
-	h5 := MustNew(tinyConfig())
-	h5.Access(0, Load, lineA)
-	h5.LLC().AddPresence(lineA, 7)
-	if err := h5.CheckInvariants(); err == nil {
-		t.Error("planted bogus presence mask not detected")
+// TestLockstepDetectsPlantedViolations plants, after one access, each
+// corruption a broken inclusion, exclusion or directory path would
+// leave, and requires the lockstep to name the cache that holds it.
+func TestLockstepDetectsPlantedViolations(t *testing.T) {
+	exclusive := tinyConfig()
+	exclusive.Inclusion = Exclusive
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		plant func(h *Hierarchy)
+		want  string
+	}{
+		// The LLC drops a line its cores hold: back-invalidation bypassed.
+		{"inclusion", tinyConfig(), func(h *Hierarchy) { h.LLC().Invalidate(lineA) }, "LLC set"},
+		// A core holds a line its presence bit no longer names.
+		{"directory-hole", tinyConfig(), func(h *Hierarchy) { h.LLC().ClearPresence(lineA) }, "LLC set"},
+		// The same line in an L2 and in an exclusive LLC.
+		{"exclusion", exclusive, func(h *Hierarchy) { h.LLC().Fill(lineA, 0) }, "LLC set"},
+		// An inclusive L2 drops a line its L1 keeps.
+		{"l2-inclusion", l2IncConfig(), func(h *Hierarchy) { h.L2(0).Invalidate(lineA) }, "L2[0] set"},
+		// A presence mask naming a core that does not exist.
+		{"bogus-presence", tinyConfig(), func(h *Hierarchy) {
+			set, way, _ := h.LLC().Lookup(lineA)
+			h.LLC().AddPresenceAt(set, way, 7)
+		}, "LLC set"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ls := newLockstep(t, tc.cfg, false)
+			ls.step(t, 0, Load, lineA)
+			ls.mustAgree(t)
+			tc.plant(ls.h)
+			lockstepError(t, ls.check(), tc.want)
+		})
 	}
 }
 
@@ -227,13 +212,14 @@ func TestExclusiveLLCInsertSkipsSharedL2Lines(t *testing.T) {
 	// core's L2 still holds it.
 	cfg := smallConfig(2)
 	cfg.Inclusion = Exclusive
-	h := MustNew(cfg)
+	ls := newLockstep(t, cfg, false)
+	h := ls.h
 	shared := uint64(0x40)
-	h.Access(0, Load, shared)
-	h.Access(1, Load, shared)
+	ls.step(t, 0, Load, shared)
+	ls.step(t, 1, Load, shared)
 	// Push it out of core 0's tiny L2.
 	for i := 1; i <= 8; i++ {
-		h.Access(0, Load, shared+uint64(i)*1024)
+		ls.step(t, 0, Load, shared+uint64(i)*1024)
 	}
 	if !h.L2(1).Contains(shared) {
 		t.Skip("line left core 1's L2 too; scenario not constructed")
@@ -241,9 +227,7 @@ func TestExclusiveLLCInsertSkipsSharedL2Lines(t *testing.T) {
 	if h.LLC().Contains(shared) {
 		t.Fatal("exclusive LLC duplicated a line still held by another L2")
 	}
-	if err := h.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	ls.mustAgree(t)
 }
 
 func TestBankedLLCQueueing(t *testing.T) {
@@ -338,18 +322,18 @@ func TestBroadcastInvalidateMultipliesMessages(t *testing.T) {
 	run := func(broadcast bool) *Hierarchy {
 		cfg := smallConfig(4)
 		cfg.BroadcastInvalidate = broadcast
-		h := MustNew(cfg)
-		replayOps(h, []uint32{3, 77, 1234, 98765, 4444, 313131, 8191, 99999,
-			123, 456, 789, 1011, 555555, 777777}, 4)
-		for i := 0; i < 4000; i++ {
-			h.Access(i%4, Load, uint64(i*977)%(64<<10))
+		ls := newLockstep(t, cfg, false)
+		for _, op := range []uint32{3, 77, 1234, 98765, 4444, 313131, 8191, 99999,
+			123, 456, 789, 1011, 555555, 777777} {
+			ls.step(t, int(op)%4, AccessKind(op>>2)%3, uint64(op>>4)%(64<<10))
 		}
-		return h
+		for i := 0; i < 4000; i++ {
+			ls.step(t, i%4, Load, uint64(i*977)%(64<<10))
+		}
+		ls.mustAgree(t)
+		return ls.h
 	}
 	filtered, broadcast := run(false), run(true)
-	if err := broadcast.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
 	if broadcast.Traffic.BackInvalidates <= filtered.Traffic.BackInvalidates {
 		t.Fatalf("broadcast back-invalidates %d not above filtered %d",
 			broadcast.Traffic.BackInvalidates, filtered.Traffic.BackInvalidates)
@@ -367,14 +351,12 @@ func TestNonInclusivePrefetchKeepsStats(t *testing.T) {
 	cfg := DefaultConfig(1)
 	cfg.Inclusion = NonInclusive
 	cfg.EnablePrefetch = true
-	h := MustNew(cfg)
+	ls := newLockstep(t, cfg, false)
 	for i := 0; i < 64; i++ {
-		h.Access(0, Load, uint64(i)*64)
+		ls.step(t, 0, Load, uint64(i)*64)
 	}
-	if h.Traffic.PrefetchFills == 0 {
+	if ls.h.Traffic.PrefetchFills == 0 {
 		t.Fatal("no prefetch fills in non-inclusive mode")
 	}
-	if err := h.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	ls.mustAgree(t)
 }

@@ -40,21 +40,22 @@ func TestModifiedQBS(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.TLA = TLAQBS
 	cfg.QBSEvictSaved = true
-	h := MustNew(cfg)
-	figure3Prefix(h)
-	h.Access(0, Load, lineE) // QBS saves 'a', then invalidates core copies
+	ls := newLockstep(t, cfg, false)
+	h := ls.h
+	for _, a := range []uint64{lineA, lineB, lineA, lineC, lineA, lineD, lineA} { // the Figure 3 prefix
+		ls.step(t, 0, Load, a)
+	}
+	ls.step(t, 0, Load, lineE) // QBS saves 'a', then invalidates core copies
 	if !h.LLC().Contains(lineA) {
 		t.Fatal("modified QBS failed to keep 'a' in the LLC")
 	}
 	if h.L1D(0).Contains(lineA) || h.L2(0).Contains(lineA) {
 		t.Fatal("modified QBS left 'a' in the core caches")
 	}
-	if res := h.Access(0, Load, lineA); res.Level != LevelLLC {
+	if res := ls.step(t, 0, Load, lineA); res.Level != LevelLLC {
 		t.Fatalf("'a' satisfied at level %d, want LLC", res.Level)
 	}
-	if err := h.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	ls.mustAgree(t)
 }
 
 // l2IncConfig: 2-entry L1s over a 4-entry inclusive L2 and a large LLC,
@@ -70,17 +71,18 @@ func l2IncConfig() Config {
 }
 
 func TestL2InclusiveBackInvalidates(t *testing.T) {
-	h := MustNew(l2IncConfig())
+	ls := newLockstep(t, l2IncConfig(), false)
+	h := ls.h
 	// Keep 'a' hot in the L1 while filling the L2; its L2 replacement
 	// state decays (L1 hits are invisible to the L2) and the fill of
 	// 'e' evicts it — an L2-level inclusion victim.
 	for _, l := range []uint64{lineA, lineB, lineA, lineC, lineA, lineD, lineA} {
-		h.Access(0, Load, l)
+		ls.step(t, 0, Load, l)
 	}
 	if !h.L1D(0).Contains(lineA) || !h.L2(0).Contains(lineA) {
 		t.Fatal("precondition: 'a' hot in L1 and resident in L2")
 	}
-	h.Access(0, Load, lineE)
+	ls.step(t, 0, Load, lineE)
 	if h.L1D(0).Contains(lineA) {
 		t.Fatal("inclusive L2 did not back-invalidate 'a' from the L1")
 	}
@@ -91,22 +93,21 @@ func TestL2InclusiveBackInvalidates(t *testing.T) {
 		t.Fatal("no L2 back-invalidate traffic recorded")
 	}
 	// The re-reference lands in the LLC (the line survived there).
-	if res := h.Access(0, Load, lineA); res.Level != LevelLLC {
+	if res := ls.step(t, 0, Load, lineA); res.Level != LevelLLC {
 		t.Fatalf("'a' satisfied at level %d, want LLC", res.Level)
 	}
-	if err := h.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	ls.mustAgree(t)
 }
 
 func TestL2QBSSavesL1ResidentLines(t *testing.T) {
 	cfg := l2IncConfig()
 	cfg.L2QBS = true
-	h := MustNew(cfg)
+	ls := newLockstep(t, cfg, false)
+	h := ls.h
 	for _, l := range []uint64{lineA, lineB, lineA, lineC, lineA, lineD, lineA} {
-		h.Access(0, Load, l)
+		ls.step(t, 0, Load, l)
 	}
-	h.Access(0, Load, lineE)
+	ls.step(t, 0, Load, lineE)
 	if !h.L1D(0).Contains(lineA) {
 		t.Fatal("L2 QBS failed to protect the L1-resident line")
 	}
@@ -116,17 +117,16 @@ func TestL2QBSSavesL1ResidentLines(t *testing.T) {
 	if h.Traffic.L2QBSQueries == 0 || h.Traffic.L2QBSSaves == 0 {
 		t.Fatalf("L2 QBS traffic not recorded: %+v", h.Traffic)
 	}
-	if res := h.Access(0, Load, lineA); res.Level != LevelL1 {
+	if res := ls.step(t, 0, Load, lineA); res.Level != LevelL1 {
 		t.Fatalf("'a' satisfied at level %d, want L1", res.Level)
 	}
-	if err := h.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	ls.mustAgree(t)
 }
 
-// TestL2InclusionInvariantHolds: under random streams, every valid L1
-// line is in its core's L2 when L2Inclusive is set, with and without
-// L2 QBS and the LLC-level TLA policies.
+// TestL2InclusionInvariantHolds: under random streams, a machine with
+// an inclusive L2 agrees with the reference hierarchy, which keeps
+// every L1 line in its core's L2, with and without L2 QBS and the
+// LLC-level TLA policies.
 func TestL2InclusionInvariantHolds(t *testing.T) {
 	for _, l2qbs := range []bool{false, true} {
 		for _, tla := range []TLAPolicy{TLANone, TLAQBS} {
@@ -136,9 +136,7 @@ func TestL2InclusionInvariantHolds(t *testing.T) {
 				cfg.L2Inclusive = true
 				cfg.L2QBS = l2qbs
 				cfg.TLA = tla
-				h := MustNew(cfg)
-				replayOps(h, ops, 2)
-				return h.CheckInvariants() == nil
+				return lockstepReplay(t, cfg, ops) != nil
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 				t.Errorf("l2qbs=%v tla=%v: %v", l2qbs, tla, err)

@@ -8,16 +8,19 @@ import (
 // FuzzHierarchyAccess drives a hierarchy and the reference hierarchy in
 // lockstep with an arbitrary access stream on a fuzzer-chosen machine
 // from lockstepConfigs (the mode byte's low six bits; bit 6 turns the
-// prefetcher on): no input sequence may make them disagree, or corrupt
-// inclusion or cache structure. Instruction fetches go through the
-// ifetch memo first, as the simulator makes them.
+// prefetcher on, bit 7 decision tracing): no input sequence may make
+// them disagree. Instruction fetches go through the ifetch memo first,
+// as the simulator makes them, and every access advances the clock a
+// banked LLC queues on by a cycle. The seed corpus names every machine
+// once, so a plain go test drives each of them through the target.
 func FuzzHierarchyAccess(f *testing.F) {
 	seed := make([]byte, 64)
 	for i := range seed {
 		seed[i] = byte(i * 37)
 	}
-	for mode := byte(0); mode < 6; mode++ {
-		f.Add(seed, mode)
+	configs := lockstepConfigs()
+	for mode := range configs {
+		f.Add(seed, byte(mode))
 	}
 	// Seeds whose every access mirrors to the top of the address space
 	// (bit 1 of each op word), with the prefetcher enabled: the overflow
@@ -30,7 +33,6 @@ func FuzzHierarchyAccess(f *testing.F) {
 		f.Add(topSeed, mode)
 	}
 
-	configs := lockstepConfigs()
 	f.Fuzz(func(t *testing.T, data []byte, mode byte) {
 		cfg := configs[int(mode&0x3f)%len(configs)].cfg
 		cfg.EnablePrefetch = cfg.EnablePrefetch || mode&0x40 != 0
@@ -60,4 +62,22 @@ func FuzzHierarchyAccess(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestFuzzReachesEveryMachine fails once the lockstep lists more
+// machines than FuzzHierarchyAccess's six mode bits can select, or two
+// machines under one name, which the lockstep and the allocation gate
+// name their subtests by.
+func TestFuzzReachesEveryMachine(t *testing.T) {
+	cases := lockstepConfigs()
+	if len(cases) > 64 {
+		t.Fatalf("%d lockstep machines, but the fuzz mode byte selects one of 64", len(cases))
+	}
+	seen := map[string]bool{}
+	for _, tc := range cases {
+		if seen[tc.name] {
+			t.Fatalf("two lockstep machines are named %q", tc.name)
+		}
+		seen[tc.name] = true
+	}
 }

@@ -419,14 +419,17 @@ type Hierarchy struct {
 
 	hintClock uint64 // deterministic TLH sampling counter
 	tlhOn     bool   // cfg.TLA == TLATLH, hoisted out of the L1-hit path
+	memoOn    bool   // L1I hits send no hint, so the ifetch memo may replay them
 
 	// lastILine memoizes, per core, the L1I line of the most recent
 	// instruction fetch when that fetch hit. Sequential code re-fetches
 	// the same line many times in a row, and a memo hit is a repeat of
 	// an access whose side effects (replacement touch) have already been
 	// applied and are idempotent, so the whole L1I path can be skipped.
-	// Entries hold noILine when no memo is armed; the TLH configuration
-	// never arms one because L1 hits must still deliver hints.
+	// Entries hold noILine when no memo is armed. TLH with IL1 among its
+	// hint sources never arms one, because its L1I hits must still
+	// deliver hints; under any other configuration an L1I hit sends no
+	// hint, so a memo hit is exactly an L1I hit.
 	lastILine []uint64
 
 	bankFree      []uint64 // per-bank next-free cycle (LLCBanks > 0)
@@ -505,6 +508,7 @@ func New(cfg Config) (*Hierarchy, error) {
 func (h *Hierarchy) configure(cfg Config) {
 	h.cfg = cfg
 	h.tlhOn = cfg.TLA == TLATLH
+	h.memoOn = !h.tlhOn || cfg.TLHSources&IL1 == 0
 	h.bankOccupancy = cfg.BankOccupancy
 	if h.bankOccupancy == 0 {
 		h.bankOccupancy = 2
@@ -600,6 +604,15 @@ func (h *Hierarchy) EventCounts() telemetry.Counts {
 		c[telemetry.EvL2InclusionVictim] += h.Cores[i].L2InclusionVictims
 	}
 	return c
+}
+
+// TotalInclusionVictims sums inclusion victims across cores.
+func (h *Hierarchy) TotalInclusionVictims() uint64 {
+	var n uint64
+	for i := range h.Cores {
+		n += h.Cores[i].InclusionVictims
+	}
+	return n
 }
 
 // DecisionMeta describes the LLC geometry and policy for decision-trace

@@ -82,19 +82,14 @@ func TestConfigCoreLimit(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("64 cores rejected: %v", err)
 	}
-	h, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ls := newLockstep(t, cfg, false)
 	// A miss by the top core must set directory bit 63, not lose it to
 	// an out-of-range shift.
-	h.Access(63, Load, lineA)
-	if p := h.LLC().Presence(lineA); p != 1<<63 {
-		t.Fatalf("presence after core 63 access = %#x, want %#x", p, uint64(1)<<63)
+	ls.step(t, 63, Load, lineA)
+	if set, way, ok := ls.h.LLC().Lookup(lineA); !ok || ls.h.LLC().PresenceAt(set, way) != 1<<63 {
+		t.Fatalf("presence after core 63 access = %#x, want %#x", ls.h.LLC().PresenceAt(set, way), uint64(1)<<63)
 	}
-	if err := h.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	ls.mustAgree(t)
 
 	for _, cores := range []int{0, -1, 65} {
 		cfg.Cores = cores
@@ -452,38 +447,38 @@ func TestECICountsOneOrTwoInvalidates(t *testing.T) {
 	// must find nothing (presence cleared).
 	cfg := tinyConfig()
 	cfg.TLA = TLAECI
-	h := MustNew(cfg)
+	ls := newLockstep(t, cfg, false)
+	h := ls.h
 	for _, a := range []uint64{lineA, lineB, lineC, lineD} {
-		h.Access(0, Load, a)
+		ls.step(t, 0, Load, a)
 	}
 	// LLC full; LRU candidate is 'a'. Miss on e: evict a... wait, the
 	// fill of d already ECI'd the then-victim. Just assert global
 	// consistency: every ECI eviction of an un-rescued line sends no
 	// back-invalidates.
 	biBefore := h.Traffic.BackInvalidates
-	h.Access(0, Load, lineE)
-	h.Access(0, Load, lineF)
+	ls.step(t, 0, Load, lineE)
+	ls.step(t, 0, Load, lineF)
 	if h.Traffic.BackInvalidates != biBefore {
 		t.Fatalf("evicting ECI'd (un-rescued) lines sent %d back-invalidates",
 			h.Traffic.BackInvalidates-biBefore)
 	}
-	if err := h.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	ls.mustAgree(t)
 }
 
 func TestVictimCacheRescuesEvictions(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.VictimCacheEntries = 32
-	h := MustNew(cfg)
+	ls := newLockstep(t, cfg, false)
+	h := ls.h
 	for _, a := range []uint64{lineA, lineB, lineC, lineD, lineE} {
-		h.Access(0, Load, a)
+		ls.step(t, 0, Load, a)
 	}
 	// 'a' was evicted from the LLC into the victim cache.
 	if h.Traffic.VictimCacheFills == 0 {
 		t.Fatal("no victim cache fills recorded")
 	}
-	res := h.Access(0, Load, lineA)
+	res := ls.step(t, 0, Load, lineA)
 	if res.Level != LevelVictimCache {
 		t.Fatalf("'a' satisfied at level %d, want victim cache", res.Level)
 	}
@@ -493,9 +488,7 @@ func TestVictimCacheRescuesEvictions(t *testing.T) {
 	if !h.LLC().Contains(lineA) {
 		t.Fatal("victim cache hit did not refill the LLC")
 	}
-	if err := h.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	ls.mustAgree(t)
 }
 
 func TestVictimCacheEvictionWritesBackDirty(t *testing.T) {
@@ -522,28 +515,27 @@ func TestVictimCacheEvictionWritesBackDirty(t *testing.T) {
 func TestExclusiveHitInvalidatesLLC(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Inclusion = Exclusive
-	h := MustNew(cfg)
-	h.Access(0, Load, lineA) // memory -> L1+L2 only
+	ls := newLockstep(t, cfg, false)
+	h := ls.h
+	ls.step(t, 0, Load, lineA) // memory -> L1+L2 only
 	if h.LLC().Contains(lineA) {
 		t.Fatal("exclusive fill went into the LLC")
 	}
 	// Evict 'a' from L2: it must appear in the LLC (clean insertion).
-	h.Access(0, Load, lineB)
-	h.Access(0, Load, lineC)
+	ls.step(t, 0, Load, lineB)
+	ls.step(t, 0, Load, lineC)
 	if !h.LLC().Contains(lineA) {
 		t.Fatal("L2 victim not inserted into exclusive LLC")
 	}
 	// Re-access 'a': LLC hit must invalidate the LLC copy.
-	res := h.Access(0, Load, lineA)
+	res := ls.step(t, 0, Load, lineA)
 	if res.Level != LevelLLC {
 		t.Fatalf("'a' at level %d, want LLC", res.Level)
 	}
 	if h.LLC().Contains(lineA) {
 		t.Fatal("exclusive LLC kept the line after a hit")
 	}
-	if err := h.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	ls.mustAgree(t)
 }
 
 func TestExclusiveCapacityExceedsInclusive(t *testing.T) {
@@ -587,6 +579,32 @@ func TestTLHSourceFiltering(t *testing.T) {
 	}
 }
 
+// TestIFetchMemoArmsUnlessL1IHints: an L1I hit arms the ifetch memo
+// unless TLH takes hints from the L1I, whose hits must each deliver
+// one; under TLH from the L2 alone an L1I hit sends no hint, so a memo
+// hit replays it exactly.
+func TestIFetchMemoArmsUnlessL1IHints(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		set   func(*Config)
+		armed bool
+	}{
+		{"baseline", func(*Config) {}, true},
+		{"tlh-l2", func(c *Config) { c.TLA, c.TLHSources = TLATLH, L2C }, true},
+		{"tlh-l1", func(c *Config) { c.TLA = TLATLH }, false},
+		{"tlh-il1", func(c *Config) { c.TLA, c.TLHSources = TLATLH, IL1 }, false},
+	} {
+		cfg := smallConfig(1)
+		tc.set(&cfg)
+		h := MustNew(cfg)
+		h.Access(0, IFetch, lineA)
+		h.Access(0, IFetch, lineA) // an L1I hit
+		if got := h.IFetchMemoHit(0, lineA+4); got != tc.armed {
+			t.Errorf("%s: memo hit after an L1I hit = %t, want %t", tc.name, got, tc.armed)
+		}
+	}
+}
+
 func TestTLHFractionSampling(t *testing.T) {
 	cfg := DefaultConfig(1)
 	cfg.TLA = TLATLH
@@ -607,10 +625,11 @@ func TestTLHFractionSampling(t *testing.T) {
 func TestPrefetcherFillsL2(t *testing.T) {
 	cfg := DefaultConfig(1)
 	cfg.EnablePrefetch = true
-	h := MustNew(cfg)
+	ls := newLockstep(t, cfg, false)
+	h := ls.h
 	// A sequential miss stream trains the prefetcher.
 	for i := 0; i < 8; i++ {
-		h.Access(0, Load, uint64(i)*64)
+		ls.step(t, 0, Load, uint64(i)*64)
 	}
 	if h.Traffic.PrefetchIssued == 0 || h.Traffic.PrefetchFills == 0 {
 		t.Fatalf("prefetcher inactive: %+v", h.Traffic)
@@ -619,9 +638,7 @@ func TestPrefetcherFillsL2(t *testing.T) {
 	if !h.L2(0).Contains(8 * 64) {
 		t.Fatal("prefetch did not fill the next stream line into L2")
 	}
-	if err := h.CheckInvariants(); err != nil {
-		t.Fatalf("prefetch broke inclusion: %v", err)
-	}
+	ls.mustAgree(t)
 	// Demand stats must not count prefetches.
 	if h.Cores[0].LLC.Accesses > 8 {
 		t.Fatalf("prefetches leaked into demand stats: %+v", h.Cores[0])

@@ -3,19 +3,39 @@ package hierarchy
 // A reference hierarchy, written the obvious way, that runs in lockstep
 // with Hierarchy.
 //
+// What it runs. lockstepConfigs lists 57 machines: every inclusion
+// mode and TLA variant, SRRIP, DIP and DRRIP LLCs under no TLA policy,
+// QBS and ECI, and banked LLCs, with 1, 2 and 4 cores. TestLockstep
+// runs each on a random, a fetch-locality and a looping stream, and
+// FuzzHierarchyAccess on its fuzzer's stream.
+//
 // What it models. Every cache is a slice of sets, each a slice of
-// {addr, dirty, presence} ways; a lookup scans the set. LRU keeps a
-// timestamp per way and evicts the oldest; NRU keeps a reference bit
-// per way, evicts the lowest way whose bit is clear, and clears every
-// other bit when the last one would be set. A fill takes the lowest
-// empty way first. There are no struct-of-arrays tags, packed recency
-// stacks or memos, and only prefetch.Streamer is shared with the
-// simulator. The reference covers the three inclusion modes; TLH with
-// its source caches and per-mille sampling; ECI; QBS with its probe
-// set, query limit and the modified variant; an inclusive L2 with and
-// without QBS at the L2; broadcast invalidation; the victim cache; and
-// the stream prefetcher. Banked LLCs and SRRIP, DIP, DRRIP and Random
-// replacement are left to their own tests.
+// {addr, dirty, presence} ways; a lookup scans the set. A fill takes the
+// lowest empty way first. Replacement follows each policy's definition:
+//
+//   - LRU keeps a timestamp per way and evicts the oldest.
+//   - NRU keeps a reference bit per way, evicts the lowest way whose bit
+//     is clear, and clears every other bit when the last one would be
+//     set.
+//   - SRRIP keeps a 2-bit RRPV per way: a fresh way is at 3, a fill goes
+//     to 2, a hit to 0 and a demotion to 3. The victim is the lowest way
+//     at 3, after ageing the whole set until one way reaches 3.
+//   - DIP and DRRIP duel LRU and SRRIP against their bimodal fills,
+//     which go to the LRU position and to RRPV 3. PSEL runs over
+//     [0, 1024] from 512; a fill in a set with set%32 == 0 counts it up,
+//     one with set%32 == 1 down, and followers fill bimodally while it
+//     is above 512. Every 32nd bimodal fill takes the base position.
+//
+// A banked LLC keeps a next-free cycle per bank, the LLC set modulo the
+// bank count; an LLC access waits for its bank, then holds it for
+// BankOccupancy cycles. There are no struct-of-arrays tags, packed
+// recency stacks, packed reference bits or memos, and only
+// prefetch.Streamer is shared with the simulator. The reference covers
+// the three inclusion modes; TLH with its source caches and per-mille
+// sampling; ECI; QBS with its probe set, query limit, the modified
+// variant and the fixed point where promoting the candidate leaves the
+// same victim; an inclusive L2 with and without QBS at the L2;
+// broadcast invalidation; the victim cache; and the stream prefetcher.
 //
 // The L2-victim rule of each inclusion mode, for a line evicted from a
 // private L2:
@@ -30,17 +50,21 @@ package hierarchy
 //     which is how an exclusive LLC fills. A line another core's L2
 //     still holds is not inserted, its dirty data going to memory.
 //
-// What the lockstep compares. After every access: the Result, the
+// What the lockstep compares. Every access carries a clock that
+// advances a cycle per access. After every access: the Result, the
 // whole Traffic and every core's CoreStats, a difference named field by
 // field through statecheck.Diff. Every checkEvery accesses, and at the
-// end of a stream: CheckInvariants, every cache's CheckConsistency (so
-// the replacement policy's CheckSet), then every way of every cache
-// (line, dirty bit, presence mask and replacement rank), the victim
-// cache's entries in order and the prefetchers' state.
+// end of a stream: every way of every cache (line, dirty bit, presence
+// mask and replacement rank), the victim cache's entries in order and
+// the prefetchers' state. A line in the wrong cache, set or way, a
+// duplicated tag, a missing presence bit or a broken inclusion or
+// exclusion property all show up there as a way that differs from the
+// reference; there are no hand-written invariant checks.
 
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"tlacache/internal/cache"
@@ -56,30 +80,45 @@ type refLine struct {
 	valid    bool
 	dirty    bool
 	presence uint64 // LLC directory: bit c set means core c may hold the line
-	used     int64  // LRU: when the way was last referenced; smaller is older
+	used     int64  // LRU and DIP: when the way was last referenced; smaller is older
 	ref      bool   // NRU: the reference bit
+	rrpv     uint8  // SRRIP and DRRIP: the re-reference prediction value, 0 to 3
 }
+
+// Set dueling, as DIP and DRRIP define it.
+const (
+	duelPeriod  = 32   // set%32 == 0 leads for the base policy, 1 for the bimodal one
+	pselMax     = 1024 // PSEL runs over [0, pselMax]
+	bimodalBase = 32   // every 32nd bimodal fill takes the base position
+)
 
 // refCache is a set-associative cache kept as a slice of sets of ways.
 type refCache struct {
 	name     string
 	lineSize uint64
-	lru      bool // LRU replacement; NRU otherwise
+	kind     replacement.Kind
 	sets     [][]refLine
 	clock    int64
+
+	// Set dueling (DIP and DRRIP). The counts are the reference's own:
+	// they show which positions the follower sets filled at and whether
+	// PSEL ever sat at a bound.
+	psel          int       // above pselMax/2 the followers fill bimodally
+	bimodalFills  uint64    // bimodal fills so far, leaders' and followers'
+	followerFills [2]uint64 // follower fills under the base and the bimodal policy
+	pselHeld      [2]bool   // a leader fill found PSEL at 0, at pselMax
 }
 
 func newRefCache(name string, size int64, assoc int, lineSize int64, kind replacement.Kind) *refCache {
-	if kind != replacement.LRU && kind != replacement.NRU {
-		panic("hierarchy: the reference cache models LRU and NRU only")
-	}
-	c := &refCache{name: name, lineSize: uint64(lineSize), lru: kind == replacement.LRU}
+	c := &refCache{name: name, lineSize: uint64(lineSize), kind: kind, psel: pselMax / 2}
 	c.sets = make([][]refLine, size/(lineSize*int64(assoc)))
 	for s := range c.sets {
 		c.sets[s] = make([]refLine, assoc)
 		for w := range c.sets[s] {
-			// A fresh LRU set ranks its ways by index, way 0 the newest.
+			// A fresh LRU set ranks its ways by index, way 0 the newest;
+			// a fresh RRIP way is distant.
 			c.sets[s][w].used = -int64(w)
+			c.sets[s][w].rrpv = 3
 		}
 	}
 	return c
@@ -105,41 +144,108 @@ func (c *refCache) has(addr uint64) bool {
 	return ok
 }
 
-// reference records a hit, a fill or a promotion of (set, way).
+// byRecency reports whether the cache orders its ways by last use (LRU
+// and DIP); otherwise it keeps NRU bits (NRU) or RRPVs (SRRIP, DRRIP).
+func (c *refCache) byRecency() bool { return c.kind == replacement.LRU || c.kind == replacement.DIP }
+
+// reference records a hit on, or a promotion of, (set, way).
 func (c *refCache) reference(set, way int) {
 	ways := c.sets[set]
-	if c.lru {
+	switch {
+	case c.byRecency():
 		c.clock++
 		ways[way].used = c.clock
-		return
+	case c.kind == replacement.NRU:
+		ways[way].ref = true
+		for _, l := range ways {
+			if !l.ref {
+				return
+			}
+		}
+		for w := range ways {
+			ways[w].ref = w == way
+		}
+	default:
+		ways[way].rrpv = 0
 	}
-	ways[way].ref = true
-	for _, l := range ways {
-		if !l.ref {
-			return
+}
+
+// filled records a fill of (set, way). LRU and NRU treat it as a hit,
+// SRRIP predicts a long re-reference (RRPV 2), and DIP and DRRIP fill
+// at their base policy's position or at the bimodal one: the LRU
+// position (DIP) or RRPV 3 (DRRIP).
+func (c *refCache) filled(set, way int) {
+	switch c.kind {
+	case replacement.LRU, replacement.NRU:
+		c.reference(set, way)
+	case replacement.SRRIP:
+		c.sets[set][way].rrpv = 2
+	case replacement.DIP:
+		if c.duelBase(set) {
+			c.reference(set, way)
+		} else {
+			c.demote(set, way)
+		}
+	case replacement.DRRIP:
+		c.sets[set][way].rrpv = 3
+		if c.duelBase(set) {
+			c.sets[set][way].rrpv = 2
 		}
 	}
-	for w := range ways {
-		ways[w].ref = w == way
+}
+
+// duelBase reports whether a fill of set takes the base policy's
+// position. A fill follows a miss, so a leader's fill is a vote against
+// its own policy: PSEL counts up for a base leader and down for a
+// bimodal one, held within [0, pselMax]. Followers fill bimodally while
+// PSEL is above its midpoint.
+func (c *refCache) duelBase(set int) bool {
+	switch set % duelPeriod {
+	case 0:
+		if c.psel == pselMax {
+			c.pselHeld[1] = true
+		} else {
+			c.psel++
+		}
+		return true
+	case 1:
+		if c.psel == 0 {
+			c.pselHeld[0] = true
+		} else {
+			c.psel--
+		}
+	default:
+		if c.psel <= pselMax/2 {
+			c.followerFills[0]++
+			return true
+		}
+		c.followerFills[1]++
 	}
+	c.bimodalFills++
+	return c.bimodalFills%bimodalBase == 0
 }
 
 // demote makes (set, way) the next victim of its set.
 func (c *refCache) demote(set, way int) {
 	ways := c.sets[set]
-	if !c.lru {
+	switch {
+	case c.byRecency():
+		oldest := ways[way].used
+		for _, l := range ways {
+			oldest = min(oldest, l.used)
+		}
+		ways[way].used = oldest - 1
+	case c.kind == replacement.NRU:
 		ways[way].ref = false
-		return
+	default:
+		ways[way].rrpv = 3
 	}
-	oldest := ways[way].used
-	for _, l := range ways {
-		oldest = min(oldest, l.used)
-	}
-	ways[way].used = oldest - 1
 }
 
 // victim returns the way a fill of set takes: the lowest empty way,
-// else the oldest way (LRU) or the lowest way not referenced (NRU).
+// else the oldest way (LRU, DIP), the lowest way not referenced (NRU),
+// or the lowest way at RRPV 3 once the whole set has aged until one
+// way is (SRRIP, DRRIP).
 func (c *refCache) victim(set int) int {
 	ways := c.sets[set]
 	for w, l := range ways {
@@ -147,7 +253,16 @@ func (c *refCache) victim(set int) int {
 			return w
 		}
 	}
-	if !c.lru {
+	switch {
+	case c.byRecency():
+		v := 0
+		for w, l := range ways {
+			if l.used < ways[v].used {
+				v = w
+			}
+		}
+		return v
+	case c.kind == replacement.NRU:
 		for w, l := range ways {
 			if !l.ref {
 				return w
@@ -155,33 +270,40 @@ func (c *refCache) victim(set int) int {
 		}
 		return 0 // a one-way set keeps its only bit set
 	}
-	v := 0
-	for w, l := range ways {
-		if l.used < ways[v].used {
-			v = w
+	for {
+		for w, l := range ways {
+			if l.rrpv == 3 {
+				return w
+			}
+		}
+		for w := range ways {
+			ways[w].rrpv++
 		}
 	}
-	return v
 }
 
 // rank is (set, way)'s place in the eviction order as
-// replacement.Policy.WayRank reports it: the number of newer ways
-// (LRU), or 1 for an NRU way whose bit is clear and 0 otherwise.
+// replacement.Policy.WayRank reports it: the number of newer ways (LRU,
+// DIP), 1 for an NRU way whose bit is clear and 0 otherwise, or the
+// RRPV (SRRIP, DRRIP).
 func (c *refCache) rank(set, way int) uint8 {
 	ways := c.sets[set]
-	if !c.lru {
+	switch {
+	case c.byRecency():
+		r := 0
+		for _, l := range ways {
+			if l.used > ways[way].used {
+				r++
+			}
+		}
+		return uint8(r)
+	case c.kind == replacement.NRU:
 		if ways[way].ref {
 			return 0
 		}
 		return 1
 	}
-	r := 0
-	for _, l := range ways {
-		if l.used > ways[way].used {
-			r++
-		}
-	}
-	return uint8(r)
+	return ways[way].rrpv
 }
 
 // touch references addr's line, reporting whether the cache holds it.
@@ -197,8 +319,8 @@ func (c *refCache) touch(addr uint64) bool {
 // (set, way) and returns the line it replaced.
 func (c *refCache) fill(set, way int, addr, presence uint64) refLine {
 	old := c.sets[set][way]
-	c.sets[set][way] = refLine{addr: c.lineOf(addr), valid: true, presence: presence, used: old.used, ref: old.ref}
-	c.reference(set, way)
+	c.sets[set][way] = refLine{addr: c.lineOf(addr), valid: true, presence: presence, used: old.used, ref: old.ref, rrpv: old.rrpv}
+	c.filled(set, way)
 	return old
 }
 
@@ -216,7 +338,7 @@ func (c *refCache) remove(addr uint64) (refLine, bool) {
 		return refLine{}, false
 	}
 	old := c.sets[set][way]
-	c.sets[set][way] = refLine{used: old.used, ref: old.ref}
+	c.sets[set][way] = refLine{used: old.used, ref: old.ref, rrpv: old.rrpv}
 	c.demote(set, way)
 	return old, true
 }
@@ -255,6 +377,7 @@ type refHierarchy struct {
 	pf           []*prefetch.Streamer // nil without prefetching
 	victims      []refVictim          // the victim cache, newest first
 	hints        uint64               // TLH sampling counter
+	bankFree     []uint64             // per LLC bank: the cycle it is next free
 	cores        []CoreStats
 	traffic      Traffic
 }
@@ -277,11 +400,13 @@ func newRefHierarchy(cfg Config) *refHierarchy {
 		}
 	}
 	o.llc = mk("LLC", cfg.LLCSize, cfg.LLCAssoc, cfg.LLCPolicy)
+	o.bankFree = make([]uint64, cfg.LLCBanks)
 	return o
 }
 
-// access performs one demand access, as Hierarchy.Access does.
-func (o *refHierarchy) access(core int, kind AccessKind, addr uint64) Result {
+// access performs one demand access at cycle now, as Hierarchy.AccessAt
+// does.
+func (o *refHierarchy) access(core int, kind AccessKind, addr, now uint64) Result {
 	la := o.llc.lineOf(addr)
 	st := &o.cores[core]
 	l1, l1st, src := o.l1d[core], &st.L1D, DL1
@@ -304,7 +429,9 @@ func (o *refHierarchy) access(core int, kind AccessKind, addr uint64) Result {
 		o.hint(L2C, la)
 	} else {
 		st.L2.Misses++
+		wait := o.bankWait(la, now)
 		res = o.fromLLC(core, la)
+		res.Latency += wait
 	}
 	if v := l1.insert(la, 0); v.valid && v.dirty {
 		o.writebackToL2(core, v.addr)
@@ -321,6 +448,24 @@ func (o *refHierarchy) access(core int, kind AccessKind, addr uint64) Result {
 		}
 	}
 	return res
+}
+
+// bankWait returns how long an LLC access at cycle now waits for its
+// bank, the line's LLC set modulo the bank count, and holds that bank
+// for BankOccupancy cycles (2 when unset) from when the wait ends.
+func (o *refHierarchy) bankWait(la, now uint64) uint64 {
+	if len(o.bankFree) == 0 {
+		return 0
+	}
+	b := o.llc.setOf(la) % len(o.bankFree)
+	start := max(now, o.bankFree[b])
+	occupancy := o.cfg.BankOccupancy
+	if occupancy == 0 {
+		occupancy = 2
+	}
+	o.bankFree[b] = start + occupancy
+	o.traffic.BankConflictCycles += start - now
+	return start - now
 }
 
 // hint delivers a TLH hint for a hit in src when TLH is on and src is
@@ -697,9 +842,10 @@ func (o *refHierarchy) takeVictim(addr uint64) (refVictim, bool) {
 // lockstep drives a Hierarchy and its reference with the same accesses
 // and reports the first difference.
 type lockstep struct {
-	h *Hierarchy
-	o *refHierarchy
-	n int // accesses driven so far
+	h   *Hierarchy
+	o   *refHierarchy
+	n   int    // accesses driven so far
+	now uint64 // the clock: a cycle per access, as bareMachine keeps it
 }
 
 // checkEvery is how many accesses pass between two full state checks.
@@ -724,7 +870,30 @@ func newLockstep(t testing.TB, cfg Config, decisions bool) *lockstep {
 
 // access makes one demand access on both sides and compares them.
 func (ls *lockstep) access(core int, kind AccessKind, addr uint64) error {
-	return ls.compare(core, kind, addr, ls.h.Access(core, kind, addr))
+	ls.now++
+	return ls.compare(core, kind, addr, ls.h.AccessAt(core, kind, addr, ls.now))
+}
+
+// step makes one demand access on both sides, fails t if they
+// disagree, and returns the hierarchy's Result, so a scenario test has
+// the reference check every access it makes.
+func (ls *lockstep) step(t testing.TB, core int, kind AccessKind, addr uint64) Result {
+	t.Helper()
+	ls.now++
+	got := ls.h.AccessAt(core, kind, addr, ls.now)
+	if err := ls.compare(core, kind, addr, got); err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// mustAgree compares the full state of both sides and fails t on a
+// difference.
+func (ls *lockstep) mustAgree(t testing.TB) {
+	t.Helper()
+	if err := ls.check(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // fetch makes an instruction fetch the way the simulator's run loop
@@ -732,15 +901,16 @@ func (ls *lockstep) access(core int, kind AccessKind, addr uint64) error {
 // The reference has no memo, so a memo that answers for a line the
 // L1I no longer holds shows up as a different Result.
 func (ls *lockstep) fetch(core int, pc uint64) error {
+	ls.now++
 	got := Result{LevelL1, ls.h.cfg.Latency.L1}
 	if !ls.h.IFetchMemoHit(core, pc) {
-		got = ls.h.Access(core, IFetch, pc)
+		got = ls.h.AccessAt(core, IFetch, pc, ls.now)
 	}
 	return ls.compare(core, IFetch, pc, got)
 }
 
 func (ls *lockstep) compare(core int, kind AccessKind, addr uint64, got Result) error {
-	want := ls.o.access(core, kind, addr)
+	want := ls.o.access(core, kind, addr, ls.now)
 	ls.n++
 	err := ls.checkCounters()
 	if got != want {
@@ -784,23 +954,15 @@ func (ls *lockstep) checkCounters() error {
 	return nil
 }
 
-// checkState runs the hierarchy's structural checks, then compares
-// every cache way by way, the victim cache and the prefetchers.
+// checkState compares every cache way by way, the victim cache and the
+// prefetchers.
 func (ls *lockstep) checkState() error {
 	h, o := ls.h, ls.o
 	where := fmt.Sprintf("after access %d", ls.n)
-	if err := h.CheckInvariants(); err != nil {
-		return fmt.Errorf("%s: %w", where, err)
-	}
 	got, want := []*cache.Cache{h.llc}, []*refCache{o.llc}
 	for c := range h.cfg.Cores {
 		got = append(got, h.l1i[c], h.l1d[c], h.l2[c])
 		want = append(want, o.l1i[c], o.l1d[c], o.l2[c])
-	}
-	for _, cc := range got {
-		if err := cc.CheckConsistency(); err != nil {
-			return fmt.Errorf("%s: %w", where, err)
-		}
 	}
 	for i, cc := range got {
 		if err := sameWays(cc, want[i]); err != nil {
@@ -956,6 +1118,56 @@ func (s *fetchStream) run(a accessor, n int) error {
 	return nil
 }
 
+// loopStream alternates two phases of loopPhase loads and stores, one
+// store in four, each core reading a lap in turn:
+//
+//   - thrash: a loop over the LLC's lines and a quarter more. LRU and
+//     SRRIP miss on every access of it, while their bimodal fills keep
+//     most of each set, so a base leader set misses more than a bimodal
+//     one and PSEL climbs to its top;
+//   - shift: fresh regions of half the LLC's lines, each read eight
+//     times over before the next. LRU and SRRIP keep a region after one
+//     miss a line, while bimodal fills evict one another, so PSEL falls
+//     to the bottom.
+type loopStream struct {
+	cores uint64
+	line  uint64 // the line size
+	lines uint64 // the LLC's line count
+	i     uint64 // accesses made
+}
+
+// loopPhase is the length of one loopStream phase.
+const loopPhase = 20_000
+
+func loopOps(cfg Config) *loopStream {
+	return &loopStream{cores: uint64(cfg.Cores), line: uint64(cfg.LineSize), lines: uint64(cfg.LLCSize / cfg.LineSize)}
+}
+
+func (s *loopStream) run(a accessor, n int) error {
+	for range n {
+		i := s.i % loopPhase
+		phase := s.i / loopPhase
+		thrash, region := s.lines+s.lines/4, s.lines/2
+		lap := thrash
+		line := i % thrash
+		if phase%2 == 1 {
+			lap = region
+			// Regions follow one another past the thrash loop's lines.
+			line = thrash + (phase*loopPhase+i)/(8*region)*region + i%region
+		}
+		kind := Load
+		if s.i%4 == 3 {
+			kind = Store
+		}
+		core := int(i / lap % s.cores)
+		s.i++
+		if err := a.access(core, kind, line*s.line); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // lockstepCase is one machine the lockstep runs.
 type lockstepCase struct {
 	name string
@@ -972,9 +1184,12 @@ func wideConfig(cores int) Config {
 	return cfg
 }
 
-// lockstepConfigs lists the machines the lockstep covers. The first
-// six are the machine modes FuzzHierarchyAccess's seed corpus selects
-// (mode bytes 0-5) and TestAuditorCleanAcrossPolicies runs.
+// lockstepConfigs lists the machines the lockstep, the allocation gate
+// and FuzzHierarchyAccess run: every inclusion mode and TLA policy,
+// every replacement.Kind in the LLC under no TLA policy, QBS and ECI,
+// and banked LLCs. The first six are the machine modes
+// TestAuditorCleanAcrossPolicies runs. FuzzHierarchyAccess selects a
+// machine by six bits, so the list stops at 64 (TestFuzzReachesEveryMachine).
 func lockstepConfigs() []lockstepCase {
 	type variant struct {
 		name string
@@ -1030,6 +1245,13 @@ func lockstepConfigs() []lockstepCase {
 	} {
 		add(v.name, smallConfig(2), v.set)
 	}
+	for _, p := range []replacement.Kind{replacement.SRRIP, replacement.DIP, replacement.DRRIP} {
+		for _, tla := range []TLAPolicy{TLANone, TLAQBS, TLAECI} {
+			add(strings.ToLower(p.String()+"-llc-"+tla.String()), smallConfig(2), func(c *Config) { c.LLCPolicy, c.TLA = p, tla })
+		}
+	}
+	add("banked", smallConfig(2), func(c *Config) { c.LLCBanks = 2 })
+	add("banked-4-occupancy-3-qbs+pf", smallConfig(2), modes[3].set, pf, func(c *Config) { c.LLCBanks, c.BankOccupancy = 4, 3 })
 	add("1core-baseline+pf", smallConfig(1), pf)
 	add("1core-qbs", smallConfig(1), modes[3].set)
 	add("1core-exclusive+pf", smallConfig(1), modes[5].set, pf)
@@ -1046,8 +1268,11 @@ func lockstepConfigs() []lockstepCase {
 }
 
 // TestLockstep runs every lockstep machine on a random stream (with
-// decision tracing on) and a fetch-locality stream, and requires the
-// hierarchy to agree with its reference after every access.
+// decision tracing on), a fetch-locality stream and a looping stream,
+// and requires the hierarchy to agree with its reference after every
+// access. On a DIP or DRRIP LLC, the looping stream must also leave
+// the follower sets filling under both policies and, without QBS,
+// drive PSEL to its top.
 func TestLockstep(t *testing.T) {
 	for i, tc := range lockstepConfigs() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -1061,6 +1286,27 @@ func TestLockstep(t *testing.T) {
 			t.Run("fetch", func(t *testing.T) {
 				if err := newLockstep(t, tc.cfg, false).drive(fetchOps(tc.cfg, seed), 20_000); err != nil {
 					t.Fatal(err)
+				}
+			})
+			t.Run("loop", func(t *testing.T) {
+				ls := newLockstep(t, tc.cfg, false)
+				if err := ls.drive(loopOps(tc.cfg), 4*loopPhase); err != nil {
+					t.Fatal(err)
+				}
+				// The reference's own counts show the stream reached both
+				// sides of the duel. QBS promotes a bimodal fill that a
+				// core cache still holds, so under QBS both leaders thrash
+				// alike and PSEL only creeps towards its top.
+				llc := ls.o.llc
+				if llc.kind != replacement.DIP && llc.kind != replacement.DRRIP {
+					return
+				}
+				if llc.followerFills[0] == 0 || llc.followerFills[1] == 0 {
+					t.Fatalf("followers filled %d times under the base policy and %d under the bimodal one, want both",
+						llc.followerFills[0], llc.followerFills[1])
+				}
+				if tc.cfg.TLA != TLAQBS && !llc.pselHeld[1] {
+					t.Fatal("PSEL never reached its top")
 				}
 			})
 		})

@@ -30,9 +30,29 @@ func replayOps(h *Hierarchy, ops []uint32, cores int) {
 	}
 }
 
+// lockstepReplay runs the accesses replayOps derives from ops on a
+// machine of cfg in lockstep with the reference and returns the
+// machine, or nil after logging the first difference.
+func lockstepReplay(t testing.TB, cfg Config, ops []uint32) *Hierarchy {
+	t.Helper()
+	ls := newLockstep(t, cfg, false)
+	for _, op := range ops {
+		if err := ls.access(int(op)%cfg.Cores, AccessKind(op>>2)%3, uint64(op>>4)%(64<<10)); err != nil {
+			t.Log(err)
+			return nil
+		}
+	}
+	if err := ls.check(); err != nil {
+		t.Log(err)
+		return nil
+	}
+	return ls.h
+}
+
 // TestInclusionInvariantHolds: in inclusive mode, after any access
-// stream, every valid core-cache line is in the LLC with a correct
-// presence bit — for all TLA policies, with and without prefetching.
+// stream, the hierarchy agrees with the reference, which keeps every
+// valid core-cache line in the LLC with a correct presence bit — for
+// all TLA policies, with and without prefetching.
 func TestInclusionInvariantHolds(t *testing.T) {
 	for _, tla := range []TLAPolicy{TLANone, TLATLH, TLAECI, TLAQBS} {
 		for _, pf := range []bool{false, true} {
@@ -41,9 +61,7 @@ func TestInclusionInvariantHolds(t *testing.T) {
 				cfg := smallConfig(2)
 				cfg.TLA = tla
 				cfg.EnablePrefetch = pf
-				h := MustNew(cfg)
-				replayOps(h, ops, 2)
-				return h.CheckInvariants() == nil
+				return lockstepReplay(t, cfg, ops) != nil
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 				t.Errorf("TLA=%v prefetch=%v: %v", tla, pf, err)
@@ -56,15 +74,13 @@ func TestInclusionInvariantHolds(t *testing.T) {
 // each LLC replacement policy (the paper's footnote 4: the inclusion
 // machinery is independent of the replacement policy).
 func TestInclusionInvariantAllLLCPolicies(t *testing.T) {
-	for _, pol := range []replacement.Kind{replacement.LRU, replacement.NRU, replacement.SRRIP, replacement.Random} {
+	for _, pol := range []replacement.Kind{replacement.LRU, replacement.NRU, replacement.SRRIP, replacement.DIP, replacement.DRRIP} {
 		pol := pol
 		f := func(ops []uint32) bool {
 			cfg := smallConfig(2)
 			cfg.LLCPolicy = pol
 			cfg.TLA = TLAQBS
-			h := MustNew(cfg)
-			replayOps(h, ops, 2)
-			return h.CheckInvariants() == nil
+			return lockstepReplay(t, cfg, ops) != nil
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 			t.Errorf("LLC policy %v: %v", pol, err)
@@ -72,15 +88,13 @@ func TestInclusionInvariantAllLLCPolicies(t *testing.T) {
 	}
 }
 
-// TestExclusiveInvariantHolds: in exclusive mode no line sits in both
-// an L2 and the LLC.
+// TestExclusiveInvariantHolds: in exclusive mode the hierarchy agrees
+// with the reference, in which no line sits in both an L2 and the LLC.
 func TestExclusiveInvariantHolds(t *testing.T) {
 	f := func(ops []uint32) bool {
 		cfg := smallConfig(2)
 		cfg.Inclusion = Exclusive
-		h := MustNew(cfg)
-		replayOps(h, ops, 2)
-		return h.CheckInvariants() == nil
+		return lockstepReplay(t, cfg, ops) != nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -93,10 +107,8 @@ func TestNonInclusiveNeverBackInvalidates(t *testing.T) {
 	f := func(ops []uint32) bool {
 		cfg := smallConfig(2)
 		cfg.Inclusion = NonInclusive
-		h := MustNew(cfg)
-		replayOps(h, ops, 2)
-		return h.Traffic.BackInvalidates == 0 && h.TotalInclusionVictims() == 0 &&
-			h.CheckInvariants() == nil
+		h := lockstepReplay(t, cfg, ops)
+		return h != nil && h.Traffic.BackInvalidates == 0 && h.TotalInclusionVictims() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -113,7 +125,8 @@ func TestQBSNeverEvictsResidentUnlessSaturated(t *testing.T) {
 		cfg.TLA = TLAQBS
 		cfg.QBSProbe = AllCaches
 		cfg.QBSMaxQueries = 0 // = LLC associativity
-		h := MustNew(cfg)
+		ls := newLockstep(t, cfg, false)
+		h := ls.h
 		// Track victims: inclusion victims can only occur when QBS hit
 		// its query limit, i.e. at least LLCAssoc saves happened in
 		// that selection. Globally: victims <= saves/assoc is too
@@ -127,7 +140,10 @@ func TestQBSNeverEvictsResidentUnlessSaturated(t *testing.T) {
 			kind := AccessKind(op>>2) % 3
 			addr := uint64(op>>4) % (64 << 10)
 			before := h.TotalInclusionVictims()
-			h.Access(core, kind, addr)
+			if err := ls.access(core, kind, addr); err != nil {
+				t.Log(err)
+				return false
+			}
 			if h.TotalInclusionVictims() > before {
 				// An inclusion victim under unlimited QBS means the
 				// query loop saturated: every candidate it saw was
@@ -137,7 +153,7 @@ func TestQBSNeverEvictsResidentUnlessSaturated(t *testing.T) {
 				}
 			}
 		}
-		return h.CheckInvariants() == nil
+		return ls.check() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -255,7 +271,7 @@ func TestDirectoryIsConservative(t *testing.T) {
 			for _, cc := range []*cache.Cache{h.L1I(c), h.L1D(c), h.L2(c)} {
 				bit := uint64(1) << uint(c)
 				cc.ForEachValid(func(l cache.Line) {
-					if h.LLC().Presence(l.Addr)&bit == 0 {
+					if set, way, hit := h.LLC().Lookup(l.Addr); !hit || h.LLC().PresenceAt(set, way)&bit == 0 {
 						ok = false
 					}
 				})

@@ -153,7 +153,6 @@ func TestVictimCacheUnderAuditor(t *testing.T) {
 	if h.vc.len() != 0 {
 		t.Fatalf("victim cache holds %d entries after Reset", h.vc.len())
 	}
-	if err := h.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	ls.o = newRefHierarchy(cfg) // a reset machine equals a fresh one
+	ls.mustAgree(t)
 }

@@ -1,9 +1,6 @@
 package replacement
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
 // lruNibbleOnes and lruNibbleHighs are the SWAR masks for locating a
 // nibble by value: repeated 0x1 and repeated 0x8.
@@ -149,48 +146,4 @@ func (p *lru) WayRank(set, way int) uint8 {
 		return uint8(nibblePos(p.packed[set], uint64(way)))
 	}
 	return p.pos[set*p.assoc+way]
-}
-
-// CheckSet verifies the LRU recency stack: set's stack row must be a
-// permutation of the ways and (wide representation) its pos row the
-// exact inverse. For the packed representation the nibbles at and above
-// assoc must additionally be zero — the shift algebra in moveTo depends
-// on it.
-func (p *lru) CheckSet(set int) error {
-	if p.packed != nil {
-		v := p.packed[set]
-		var seen uint32
-		for i := 0; i < p.assoc; i++ {
-			w := v >> (4 * i) & 0xF
-			if int(w) >= p.assoc {
-				return fmt.Errorf("replacement: LRU set %d stack[%d] names way %d of %d", set, i, w, p.assoc)
-			}
-			if seen&(1<<w) != 0 {
-				return fmt.Errorf("replacement: LRU set %d way %d appears twice in the stack", set, w)
-			}
-			seen |= 1 << w
-		}
-		if p.assoc < 16 && v>>(4*p.assoc) != 0 {
-			return fmt.Errorf("replacement: LRU set %d has nonzero nibbles beyond way %d", set, p.assoc-1)
-		}
-		return nil
-	}
-	base := set * p.assoc
-	st := p.stack[base : base+p.assoc]
-	pos := p.pos[base : base+p.assoc]
-	seen := make([]bool, p.assoc)
-	for i, w := range st {
-		if int(w) >= p.assoc {
-			return fmt.Errorf("replacement: LRU set %d stack[%d] names way %d of %d", set, i, w, p.assoc)
-		}
-		if seen[w] {
-			return fmt.Errorf("replacement: LRU set %d way %d appears twice in the stack", set, w)
-		}
-		seen[w] = true
-		if int(pos[w]) != i {
-			return fmt.Errorf("replacement: LRU set %d inverse map broken: pos[%d]=%d, want %d",
-				set, w, pos[w], i)
-		}
-	}
-	return nil
 }

@@ -2,15 +2,14 @@
 // the TLA cache-management study: true LRU (core caches), Not Recently
 // Used (the paper's baseline LLC policy), Static RRIP (the "more
 // intelligent replacement" the paper's footnote 4 verifies against),
-// the set-dueling DIP and DRRIP built on LRU and SRRIP, and a
-// pseudo-random policy used as a stress baseline in tests.
+// and the set-dueling DIP and DRRIP built on LRU and SRRIP.
 //
 // A Policy instance manages the replacement state for one cache (all of
 // its sets). Policies are deliberately unaware of tags, validity, and
 // inclusion; the cache layer handles those and calls into the policy on
 // hits, fills, and victim selection. This separation is what lets Query
 // Based Selection (QBS) re-run victim selection after promoting a way:
-// for LRU, NRU, Random, and DIP, promoting a way (Touch) guarantees
+// for LRU, NRU and DIP, promoting a way (Touch) guarantees
 // that an immediately following Victim call returns a different way
 // (given at least two ways). SRRIP, and DRRIP with it, is the
 // exception: when every line in a set is near-immediate, the aging scan
@@ -41,9 +40,6 @@ const (
 	// (Jaleel et al., ISCA 2010), the "more intelligent" policy the
 	// paper's footnote verifies the inclusion problem against.
 	SRRIP
-	// Random picks a pseudo-random victim. Deterministic (xorshift64)
-	// so simulations remain reproducible.
-	Random
 )
 
 const (
@@ -62,8 +58,6 @@ func (k Kind) String() string {
 		return "NRU"
 	case SRRIP:
 		return "SRRIP"
-	case Random:
-		return "Random"
 	case DIP:
 		return "DIP"
 	case DRRIP:
@@ -72,10 +66,6 @@ func (k Kind) String() string {
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
 }
-
-// RankUnknown is the WayRank of a policy with no per-way eviction
-// order (Random).
-const RankUnknown uint8 = 0xFF
 
 // Policy tracks replacement state for every set of one cache.
 //
@@ -103,14 +93,8 @@ type Policy interface {
 	// to eviction, so ordering candidates by descending rank reproduces
 	// the policy's victim preference. The scale is policy-relative (an
 	// LRU rank is a stack position, an SRRIP rank an RRPV), so ranks
-	// compare within one cache, not across policies; RankUnknown when
-	// the policy has no per-way order.
+	// compare within one cache, not across policies.
 	WayRank(set, way int) uint8
-	// CheckSet returns an error when set's replacement metadata is
-	// internally inconsistent. cache.CheckConsistency calls it for
-	// every set, which the hierarchy's lockstep test does throughout
-	// its runs.
-	CheckSet(set int) error
 	// ResetState returns the policy to its freshly constructed state in
 	// place, so warmup resets and pooled reuse do not reallocate
 	// replacement metadata. It must reset ALL adaptive state (recency
@@ -134,8 +118,6 @@ func New(kind Kind, numSets, assoc int) Policy {
 		return newNRU(numSets, assoc)
 	case SRRIP:
 		return newSRRIP(numSets, assoc)
-	case Random:
-		return newRandom(numSets, assoc)
 	case DIP:
 		return newDIP(numSets, assoc)
 	case DRRIP:

@@ -5,7 +5,7 @@ import (
 	"testing/quick"
 )
 
-func allKinds() []Kind { return []Kind{LRU, NRU, SRRIP, Random, DIP, DRRIP} }
+func allKinds() []Kind { return []Kind{LRU, NRU, SRRIP, DIP, DRRIP} }
 
 func TestNewPanicsOnBadGeometry(t *testing.T) {
 	for _, tc := range []struct{ sets, assoc int }{{0, 4}, {4, 0}, {-1, 4}} {
@@ -21,7 +21,7 @@ func TestNewPanicsOnBadGeometry(t *testing.T) {
 }
 
 func TestKindString(t *testing.T) {
-	want := map[Kind]string{LRU: "LRU", NRU: "NRU", SRRIP: "SRRIP", Random: "Random", DIP: "DIP", DRRIP: "DRRIP"}
+	want := map[Kind]string{LRU: "LRU", NRU: "NRU", SRRIP: "SRRIP", DIP: "DIP", DRRIP: "DRRIP"}
 	for k, s := range want {
 		if k.String() != s {
 			t.Errorf("Kind(%d).String() = %q, want %q", int(k), k.String(), s)
@@ -74,7 +74,7 @@ func TestVictimInRange(t *testing.T) {
 // hierarchy's QBS loop handles its fixed point explicitly.
 func TestTouchEvictsDifferentWay(t *testing.T) {
 	const assoc = 4
-	for _, kind := range []Kind{LRU, NRU, Random, DIP} {
+	for _, kind := range []Kind{LRU, NRU, DIP} {
 		kind := kind
 		f := func(ops []uint8, probes []bool) bool {
 			p := New(kind, 1, assoc)
@@ -143,8 +143,23 @@ func TestNRUGenerationRollover(t *testing.T) {
 	if got := p.Victim(0); got != 0 {
 		t.Fatalf("victim after rollover = %d, want 0", got)
 	}
-	if p.live[0] != 1 {
-		t.Fatalf("live count after rollover = %d, want 1", p.live[0])
+	if p.ref[0] != 1<<3 {
+		t.Fatalf("reference bits after rollover = %04b, want 1000", p.ref[0])
+	}
+}
+
+// TestNRUDirectMapped: a one-way set keeps its only bit set across
+// generations, and its victim stays way 0.
+func TestNRUDirectMapped(t *testing.T) {
+	p := newNRU(2, 1)
+	for range 3 {
+		p.Insert(1, 0)
+		if got := p.Victim(1); got != 0 {
+			t.Fatalf("victim = %d, want 0", got)
+		}
+		if r := p.WayRank(1, 0); r != 0 {
+			t.Fatalf("rank = %d, want 0 (referenced)", r)
+		}
 	}
 }
 
@@ -156,10 +171,10 @@ func TestNRUDemote(t *testing.T) {
 	if got := p.Victim(0); got != 0 {
 		t.Fatalf("victim = %d, want demoted way 0", got)
 	}
-	// Demoting an already-clear bit must not corrupt the live count.
+	// Demoting an already-clear bit changes nothing.
 	p.Demote(0, 0)
-	if p.live[0] != 1 {
-		t.Fatalf("live = %d, want 1", p.live[0])
+	if p.ref[0] != 1<<1 {
+		t.Fatalf("reference bits = %04b, want 0010", p.ref[0])
 	}
 }
 
@@ -187,26 +202,5 @@ func TestSRRIPAgingFindsVictim(t *testing.T) {
 	v := p.Victim(0)
 	if v != 0 {
 		t.Fatalf("victim = %d, want 0 (lowest index after aging)", v)
-	}
-}
-
-func TestRandomDeterministic(t *testing.T) {
-	a := New(Random, 4, 8)
-	b := New(Random, 4, 8)
-	for i := 0; i < 100; i++ {
-		set := i % 4
-		if a.Victim(set) != b.Victim(set) {
-			t.Fatal("two Random policies with identical histories diverged")
-		}
-		a.Insert(set, a.Victim(set))
-		b.Insert(set, b.Victim(set))
-	}
-}
-
-func TestRandomSingleWay(t *testing.T) {
-	p := New(Random, 1, 1)
-	p.Touch(0, 0) // must not panic or loop
-	if got := p.Victim(0); got != 0 {
-		t.Fatalf("victim = %d, want 0", got)
 	}
 }

@@ -87,48 +87,3 @@ func TestCheckResetStateDetectsResidue(t *testing.T) {
 		})
 	}
 }
-
-// TestCheckSetCoverage verifies every policy's CheckSet passes on
-// well-formed metadata after a mixed workload.
-func TestCheckSetCoverage(t *testing.T) {
-	const numSets, assoc = 16, 8
-	for _, k := range allKinds() {
-		k := k
-		t.Run(k.String(), func(t *testing.T) {
-			p := New(k, numSets, assoc)
-			exercise(p, numSets, assoc)
-			for s := 0; s < numSets; s++ {
-				if err := p.CheckSet(s); err != nil {
-					t.Fatalf("set %d: %v", s, err)
-				}
-			}
-		})
-	}
-}
-
-// TestSRRIPCheckSetDetectsCorruption plants an out-of-range RRPV and
-// expects CheckSet to name it — the failure mode that would hang
-// Victim's ageing scan.
-func TestSRRIPCheckSetDetectsCorruption(t *testing.T) {
-	p := newSRRIP(4, 4)
-	p.rrpv[2*4+1] = p.max + 1
-	if err := p.CheckSet(2); err == nil {
-		t.Fatal("corrupt RRPV passes CheckSet")
-	}
-	if err := p.CheckSet(1); err != nil {
-		t.Fatalf("clean set fails CheckSet: %v", err)
-	}
-}
-
-// TestRandomCheckSetDetectsCorruption plants an out-of-range victim
-// latch and expects CheckSet to name it.
-func TestRandomCheckSetDetectsCorruption(t *testing.T) {
-	p := newRandom(4, 4)
-	p.victim[3] = 4
-	if err := p.CheckSet(3); err == nil {
-		t.Fatal("corrupt victim latch passes CheckSet")
-	}
-	if err := p.CheckSet(0); err != nil {
-		t.Fatalf("clean set fails CheckSet: %v", err)
-	}
-}

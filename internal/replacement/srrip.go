@@ -1,7 +1,5 @@
 package replacement
 
-import "fmt"
-
 // srrip implements Static Re-Reference Interval Prediction with
 // 2-bit re-reference prediction values (RRPVs). Lines are inserted with
 // a "long" re-reference prediction (RRPV = max-1), promoted to "near
@@ -61,17 +59,3 @@ func (p *srrip) Victim(set int) int {
 // WayRank is the way's re-reference prediction value (max = distant =
 // next to evict).
 func (p *srrip) WayRank(set, way int) uint8 { return p.rrpv[set*p.assoc+way] }
-
-// CheckSet verifies the RRPV table: every value must be within the
-// 2-bit range. Victim's ageing loop terminates only because some way
-// eventually reaches exactly max — an out-of-range value (possible only
-// through memory corruption or a future encoding bug) could loop
-// forever by stepping past it.
-func (p *srrip) CheckSet(set int) error {
-	for w, v := range p.rrpv[set*p.assoc : set*p.assoc+p.assoc] {
-		if v > p.max {
-			return fmt.Errorf("replacement: SRRIP set %d way %d RRPV %d exceeds max %d", set, w, v, p.max)
-		}
-	}
-	return nil
-}

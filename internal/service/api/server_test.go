@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -294,6 +295,93 @@ func TestDrainRejectsNewWork(t *testing.T) {
 	if r3.StatusCode != http.StatusOK || r3.Header.Get(ResultHeader) != "hit" {
 		t.Errorf("drained result: %d %s=%q body %s",
 			r3.StatusCode, ResultHeader, r3.Header.Get(ResultHeader), b3)
+	}
+}
+
+// TestDrainDeadlineMidSimulation drains with a deadline that expires
+// while a job is still simulating and one client waits on ?wait=1: the
+// drain reports its deadline, new work is refused with 503, the
+// waiting client still gets the whole manifest once the job finishes,
+// and the disk tier serves the same bytes, to this cache and to a new
+// one opened on the same directory.
+func TestDrainDeadlineMidSimulation(t *testing.T) {
+	dir := t.TempDir()
+	c, err := cache.New(cache.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Config{Cache: c})
+	// Long enough that the job is still simulating when the drain's
+	// deadline, a millisecond after the job starts, expires.
+	spec := service.JobSpec{Apps: []string{"sje", "lib"}, Seed: 43, Instructions: 3_000_000, Warmup: u64(0)}
+	_, key, err := service.SpecKey(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type reply struct {
+		status int
+		body   []byte
+		err    error
+	}
+	waiter := make(chan reply, 1)
+	go func() {
+		// A client that never gives up would hang the test instead of
+		// failing it.
+		client := &http.Client{Timeout: 2 * time.Minute}
+		resp, err := client.Post(ts.URL+"/v1/jobs?wait=1", "application/json", bytes.NewReader(body))
+		if err != nil {
+			waiter <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		waiter <- reply{resp.StatusCode, data, err}
+	}()
+
+	for {
+		if j := s.lookupJob(key); j != nil {
+			if state, _ := j.snapshot(); state == StateRunning {
+				break
+			}
+		}
+		time.Sleep(time.Millisecond)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	if err := s.Drain(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("drain with a job mid-simulation: %v, want its deadline", err)
+	}
+	if _, ok := c.Get(key); ok {
+		t.Fatal("the job's result was cached before it finished")
+	}
+
+	r := submit(t, ts, smallSpec(44), false)
+	readBody(t, r)
+	if r.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("submit after the drain: %d, want 503", r.StatusCode)
+	}
+
+	got := <-waiter
+	if got.err != nil || got.status != http.StatusOK {
+		t.Fatalf("waiting client: status %d, error %v, body %s", got.status, got.err, got.body)
+	}
+	var m service.Manifest
+	if err := json.Unmarshal(got.body, &m); err != nil || m.Key != key || len(m.Result.Apps) != len(spec.Apps) || m.Result.Throughput <= 0 {
+		t.Fatalf("waiting client got a partial manifest (key %q, error %v)", m.Key, err)
+	}
+	if cached, ok := c.Get(key); !ok || !bytes.Equal(cached, got.body) {
+		t.Error("the cache does not serve the bytes the waiting client got")
+	}
+	reopened, err := cache.New(cache.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cached, ok := reopened.Get(key); !ok || !bytes.Equal(cached, got.body) {
+		t.Error("a cache reopened on the directory does not serve the bytes the waiting client got")
 	}
 }
 

@@ -181,12 +181,12 @@ func TestRunOwnsStreamsUntilReturn(t *testing.T) {
 // not truncated.
 func allocsPerRun(runs int, f func()) (allocs, bytes float64) {
 	f()
-	n, b := statecheck.Allocs(func() {
+	c := statecheck.Allocs(func() {
 		for range runs {
 			f()
 		}
 	})
-	return float64(n) / float64(runs), float64(b) / float64(runs)
+	return float64(c.Mallocs) / float64(runs), float64(c.Bytes) / float64(runs)
 }
 
 // TestFeedAllocsIndependentOfBudget proves the rings are pooled and

@@ -4,8 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"tlacache/internal/cache"
-	"tlacache/internal/hierarchy"
 	"tlacache/internal/trace"
 	"tlacache/internal/workload"
 )
@@ -121,28 +119,5 @@ func TestRunIsolationPropagatesErrors(t *testing.T) {
 	bad.Profile.CodeBytes = 0
 	if _, err := RunIsolation(quickConfig(2, 10_000), bad); err == nil {
 		t.Error("invalid profile accepted")
-	}
-}
-
-// TestInvariantEveryRuns runs a 2-core QBS machine and then requires
-// the hierarchy's structural invariants and every cache's
-// self-consistency to hold in the state the run left behind.
-func TestInvariantEveryRuns(t *testing.T) {
-	cfg := quickConfig(2, 20_000)
-	cfg.Hierarchy.TLA = hierarchy.TLAQBS
-	m := freshMachine(t, cfg)
-	runOn(t, cfg, m)
-	h := m.h
-	if err := h.CheckInvariants(); err != nil {
-		t.Fatalf("invariants violated after a healthy run: %v", err)
-	}
-	caches := []*cache.Cache{h.LLC()}
-	for c := 0; c < cfg.Hierarchy.Cores; c++ {
-		caches = append(caches, h.L1I(c), h.L1D(c), h.L2(c))
-	}
-	for _, cc := range caches {
-		if err := cc.CheckConsistency(); err != nil {
-			t.Fatal(err)
-		}
 	}
 }

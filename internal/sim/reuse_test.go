@@ -149,7 +149,7 @@ func TestResetEquivalence(t *testing.T) {
 	}
 	kinds := []replacement.Kind{
 		replacement.LRU, replacement.NRU, replacement.SRRIP,
-		replacement.Random, replacement.DIP, replacement.DRRIP,
+		replacement.DIP, replacement.DRRIP,
 	}
 	for _, mode := range machineModes() {
 		for _, kind := range kinds {

@@ -162,14 +162,49 @@ func TestAllocsCountsGrowthAMeanTruncates(t *testing.T) {
 	if avg := testing.AllocsPerRun(1000, grow); avg != 0 {
 		t.Fatalf("AllocsPerRun = %v; the premise is a mean that truncates to 0", avg)
 	}
-	if n, b := Allocs(func() {
+	c := Allocs(func() {
 		for range 2000 {
 			grow()
 		}
-	}); n == 0 || b == 0 {
-		t.Errorf("Allocs = %d allocations, %d bytes over 2000 appends to a full slice, want both non-zero", n, b)
+	})
+	if c.Mallocs == 0 || c.Bytes == 0 {
+		t.Errorf("Allocs = %v over 2000 appends to a full slice, want allocations and bytes", c)
 	}
-	if n, b := Allocs(func() {}); n != 0 || b != 0 {
-		t.Errorf("Allocs of an empty function = %d allocations, %d bytes, want 0", n, b)
+	if len(c.Sites) == 0 || !strings.Contains(c.Sites[0], "TestAllocsCountsGrowthAMeanTruncates") {
+		t.Errorf("Allocs sites %q do not name the appending test", c.Sites)
 	}
+	if c := Allocs(func() {}); c.Mallocs != 0 || c.Bytes != 0 {
+		t.Errorf("Allocs of an empty function = %v, want 0", c)
+	}
+}
+
+// allocSink keeps TestAllocsFollowsCalleesAndGoroutines's allocations
+// on the heap.
+var allocSink []any
+
+// TestAllocsFollowsCalleesAndGoroutines: Allocs counts what f's callees
+// allocate, tiny objects included, and what a goroutine f starts
+// allocates, each at its own site.
+func TestAllocsFollowsCalleesAndGoroutines(t *testing.T) {
+	allocSink = make([]any, 0, 64)
+	c := Allocs(func() {
+		for i := range 10 {
+			allocSink = append(allocSink, new(int8), new([64]byte), i+1000)
+		}
+		done := make(chan struct{})
+		go func() {
+			allocSink = append(allocSink, new([256]byte))
+			close(done)
+		}()
+		<-done
+	})
+	// The ten 64-byte objects, at least one block of the twenty tiny
+	// ones, the channel and the goroutine's object.
+	if c.Mallocs < 13 {
+		t.Errorf("Allocs = %v, want at least 13", c)
+	}
+	if !strings.Contains(strings.Join(c.Sites, "\n"), "TestAllocsFollowsCalleesAndGoroutines.func1.1") {
+		t.Errorf("Allocs sites %q do not name the goroutine f started", c.Sites)
+	}
+	allocSink = nil
 }

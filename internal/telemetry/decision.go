@@ -7,8 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-
-	"tlacache/internal/replacement"
 )
 
 // This file is the decision-level half of the telemetry layer: where a
@@ -20,11 +18,6 @@ import (
 // and to ask counterfactuals such as "what would QBS have evicted here
 // instead?".
 
-// RankUnknown is the candidate rank recorded when the cache's
-// replacement policy has no per-way eviction-preference order (see
-// replacement.Policy.WayRank).
-const RankUnknown = replacement.RankUnknown
-
 // NoWay is the way index recorded when a decision has no alternative
 // way to report (e.g. QBSWay when every candidate was core-resident).
 const NoWay = -1
@@ -32,8 +25,8 @@ const NoWay = -1
 // DecisionCandidate is one way of the set at the moment of an LLC
 // victim choice. Rank is the replacement policy's eviction preference
 // for the way (larger = closer to eviction: LRU stack distance from
-// MRU, NRU reference-bit complement, SRRIP RRPV), or RankUnknown when
-// the policy exposes none. Presence is the LLC directory mask.
+// MRU, NRU reference-bit complement, SRRIP RRPV). Presence is the LLC
+// directory mask.
 type DecisionCandidate struct {
 	Way      int    `json:"way"`
 	Addr     uint64 `json:"addr,omitempty"`

@@ -27,7 +27,7 @@ func sampleDecisions() []Decision {
 			Candidates: []DecisionCandidate{
 				{Way: 0, Addr: 0x0040, Valid: true, Rank: 0, Presence: 2},
 				{Way: 1, Addr: 0x4040, Valid: true, Rank: 2, Presence: 0},
-				{Way: 2, Valid: false, Rank: RankUnknown},
+				{Way: 2, Valid: false, Rank: 0xFF},
 			},
 		},
 	}

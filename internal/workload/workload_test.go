@@ -71,12 +71,12 @@ func TestProfilesValidateAndGenerate(t *testing.T) {
 		if mem == 0 {
 			t.Errorf("%s: produced no memory accesses", b.Name)
 		}
-		if n, bytes := statecheck.Allocs(func() {
+		if c := statecheck.Allocs(func() {
 			for range window {
 				g.Next(&in)
 			}
-		}); n != 0 {
-			t.Errorf("%s: Next made %d heap allocations (%d B) in %d warm calls, want 0", b.Name, n, bytes, window)
+		}); c.Mallocs != 0 {
+			t.Errorf("%s: Next made %v\nin %d warm calls, want 0", b.Name, c, window)
 		}
 	}
 }
